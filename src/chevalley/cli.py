@@ -1,9 +1,9 @@
 """Command-line surface: verify, sweep, graph, spectrum, fk, inequalities.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error.  Worker count for the sweep and inequality suites is
-taken from CHEVALLEY_WORKERS (default 1); single-instance commands are
-always sequential.
+configuration error.  Worker count for the sweep is taken from
+CHEVALLEY_WORKERS (default 1); the inequality suite and single-instance
+commands are always sequential.
 """
 
 from __future__ import annotations

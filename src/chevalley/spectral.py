@@ -81,8 +81,8 @@ def principal_eigenvalue(matrix, shift: float,
 
 def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
     """All eigenvalues n * S_(1)(zeta^I) over the index set, with multiplicity."""
-    return np.array([params.n * np.sum(roots_tuple(I, params))
-                     for I in enumerate_indices(params)])
+    return params.n * np.sum(roots_tuple(enumerate_indices(params), params),
+                             axis=1)
 
 
 def eigen_residual(I: SpectralIndex, params: GrassmannianParams,

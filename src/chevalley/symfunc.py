@@ -4,12 +4,18 @@ Index tuples are stored in doubled form: an index set element
 I = (i_1 < ... < i_k) with i_j integers (k odd) or half-integers (k even) is
 kept as the tuple of exact integers d_j = 2*i_j.  Complex numbers appear
 only at evaluation time.
+
+Two independent evaluators are kept: Jacobi-Trudi determinants
+(schur_eval, schur_values_box), which serve the Schur route and the tests,
+and the bialternant numerators behind rietsch_eigenvector, the k x k minors
+of the matrix (z_i^c) computed by Laplace expansion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -26,9 +32,12 @@ def enumerate_indices(params: GrassmannianParams) -> list[SpectralIndex]:
     Doubled values run over -(k-1), -(k-1)+2, ..., 2n-(k+1): exactly n
     candidates of the correct parity, from which k distinct are chosen.
     """
+    return [tuple(c) for c in combinations(_index_pool(params), params.k)]
+
+
+def _index_pool(params: GrassmannianParams) -> range:
     k, n = params.k, params.n
-    pool = range(-(k - 1), 2 * n - (k + 1) + 1, 2)
-    return [tuple(c) for c in combinations(pool, k)]
+    return range(-(k - 1), 2 * n - (k + 1) + 1, 2)
 
 
 def central_index(params: GrassmannianParams) -> SpectralIndex:
@@ -38,7 +47,10 @@ def central_index(params: GrassmannianParams) -> SpectralIndex:
 
 
 def roots_tuple(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
-    """The k-tuple (e^{i pi d_j / n})_j of n-th roots of (-1)^{k+1}."""
+    """The k-tuple (e^{i pi d_j / n})_j of n-th roots of (-1)^{k+1}.
+
+    A stack of indices (shape (m, k)) gives the stack of tuples.
+    """
     d = np.asarray(I, dtype=float)
     return np.exp(1j * np.pi * d / params.n)
 
@@ -87,16 +99,6 @@ def schur_eval(lam: Partition, x) -> complex:
     return complex(np.linalg.det(_jacobi_trudi_matrix(lam, h)))
 
 
-def schur_values(lams: list[Partition], x) -> np.ndarray:
-    """schur_eval for many partitions at one point, via a stacked determinant."""
-    x = np.asarray(x, dtype=complex)
-    k = len(x)
-    m_max = max((lam[0] for lam in lams), default=0) + k - 1
-    h = homogeneous_table(x, max(m_max, 0))
-    mats = np.stack([_jacobi_trudi_matrix(lam, h) for lam in lams])
-    return np.linalg.det(mats)
-
-
 @lru_cache(maxsize=64)
 def _box_exponents(params: GrassmannianParams) -> np.ndarray:
     """Stacked Jacobi-Trudi exponent array over all box partitions,
@@ -110,8 +112,8 @@ def _box_exponents(params: GrassmannianParams) -> np.ndarray:
 def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
     """Schur values at the point x for every box partition, canonical order.
 
-    Same result as schur_values over enumerate_partitions but with the
-    matrix assembly vectorized and cached per instance.
+    One stacked Jacobi-Trudi determinant per partition, with the matrix
+    assembly vectorized and cached per instance.
     """
     E = _box_exponents(params)
     h = homogeneous_table(x, int(E.max()))
@@ -119,7 +121,74 @@ def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
     return np.linalg.det(mats)
 
 
+def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Position of each sorted r-subset of range(n) (the last axis) in the
+    lexicographic list of all r-subsets: C(n,r) - 1 - sum_i C(n-1-a_i, r-i)."""
+    r = subsets.shape[-1]
+    binom = np.array([[comb(x, y) for y in range(r + 1)] for x in range(n)],
+                     dtype=np.int64)
+    return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _minor_tables(params: GrassmannianParams):
+    """Index tables of the Laplace expansion behind rietsch_eigenvector.
+
+    Returns (levels, perm, sign, complement).  Level j lists the j-subsets T
+    of range(n) lexicographically as (col, child, alt): col[T, p] = T[p],
+    child[T, p] the rank of T without T[p] one level down, and alt[p] the
+    cofactor sign (-1)^{j-1+p} of expanding along row j-1.  The top level is
+    m = min(k, n-k).  perm takes the box partitions in canonical order to
+    the top-level subsets, and sign is the per-partition factor.
+
+    For k <= n/2 partition lam maps to its column set S = {lam_j + k - j}.
+    Otherwise (complement) it maps to the complement of S, and sign is
+    (-1)^{|lam|}: the n x n matrix (w_a^c) over all n candidate roots w_a is
+    sqrt(n) times a unitary (a twisted DFT), so by Jacobi's
+    complementary-minor identity minor(I, S) is, up to a factor fixed by I,
+    (-1)^{sum S} conj(minor(I^c, S^c)), and sum S = |lam| + sum S_empty.
+    """
+    k, n = params.k, params.n
+    m = min(k, n - k)
+    lams = np.array(enumerate_partitions(params))
+    cols = lams[:, ::-1] + np.arange(k)
+    sign = np.ones(len(lams))
+    if m < k:
+        keep = np.ones((len(lams), n), dtype=bool)
+        keep[np.arange(len(lams))[:, None], cols] = False
+        cols = np.nonzero(keep)[1].reshape(-1, m)
+        sign = (-1.0) ** lams.sum(axis=1)
+    levels = []
+    for j in range(1, m + 1):
+        subsets = np.array(list(combinations(range(n), j)))
+        others = np.array([[q for q in range(j) if q != p] for p in range(j)],
+                          dtype=np.intp).reshape(j, j - 1)
+        child = _lex_rank(subsets[:, others], n)
+        alt = (-1.0) ** (j - 1 + np.arange(j))
+        levels.append((subsets, child, alt))
+    return tuple(levels), _lex_rank(cols, n), sign, m < k
+
+
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
     """Coordinate vector of the eigenbasis element labeled by I: the
-    conjugated Schur values over all box partitions in canonical order."""
-    return np.conj(schur_values_box(params, roots_tuple(I, params)))
+    conjugated Schur values over all box partitions in canonical order.
+
+    s_lam(z) is the bialternant det(z_i^{lam_j + k - j}) / det(z_i^{k-j}).
+    All numerators at z = zeta^I are the k x k minors of the k x n matrix
+    (z_i^c); they come from one Laplace expansion, row by row, and are
+    divided by the empty partition's coordinate, the Vandermonde.  For
+    k > n/2 the expansion runs on the n-k conjugated complementary roots
+    instead (see _minor_tables), so no level exceeds min(k, n-k) rows.
+    """
+    levels, perm, sign, complement = _minor_tables(params)
+    n = params.n
+    d = np.asarray(I)
+    if complement:
+        d = -np.setdiff1d(_index_pool(params), d)
+    # z^c with the exponent reduced mod 2n, so large n loses no accuracy
+    powers = np.exp(1j * np.pi * (np.outer(d, np.arange(n)) % (2 * n)) / n)
+    minors = np.ones(1, dtype=complex)
+    for z, (col, child, alt) in zip(powers, levels):
+        minors = (z[col] * minors[child]) @ alt
+    v = sign * minors[perm]
+    return np.conj(v / v[0])

@@ -8,7 +8,7 @@ from chevalley.galkin import delta0_sine
 from chevalley.spectral import (c1_operator, eigen_residual,
                                 principal_eigenvalue, property_o_check,
                                 spectral_report, spectrum_closed_form)
-from chevalley.symfunc import enumerate_indices
+from chevalley.symfunc import enumerate_indices, roots_tuple
 
 
 def sorted_complex(values):
@@ -66,6 +66,13 @@ class TestClosedFormSpectrum:
         expected = n * np.exp(2j * np.pi * np.arange(n) / n)
         assert np.allclose(sorted_complex(spec), sorted_complex(expected))
 
+    def test_matches_per_index_sum(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                want = [n * np.sum(roots_tuple(I, p)) for I in enumerate_indices(p)]
+                assert np.allclose(spectrum_closed_form(p), want, rtol=0, atol=1e-12)
+
     def test_length_is_rank(self):
         for n in range(2, 10):
             for k in range(1, n):
@@ -86,6 +93,15 @@ class TestEigenResidual:
         op = c1_operator(p)
         for I in enumerate_indices(p):
             assert eigen_residual(I, p, op) < 1e-9
+
+    @pytest.mark.parametrize("k,n", [(29, 30), (28, 30), (7, 12)])
+    def test_all_indices(self, k, n):
+        # k > n/2 runs on the n-k complementary roots; direct tables for
+        # Gr(29,30) would hold all 2^30 subsets
+        p = GrassmannianParams(k, n)
+        op = c1_operator(p)
+        for I in enumerate_indices(p):
+            assert eigen_residual(I, p, op) < 1e-8
 
 
 class TestPropertyO:
@@ -116,6 +132,9 @@ class TestSpectralReport:
         assert abs(r.delta0_matrix - 12.0) < 1e-8
         assert r.top_multiplicity == 1
         assert r.max_eigen_residual < 1e-8
+
+    def test_gr612_residual(self):
+        assert spectral_report(GrassmannianParams(6, 12)).max_eigen_residual < 1e-8
 
     def test_duality_of_delta0(self):
         for n in range(2, 13):

@@ -7,7 +7,7 @@ from chevalley.combinatorics import GrassmannianParams, enumerate_partitions
 from chevalley.symfunc import (TAU_ALG, central_index, complete_homogeneous,
                                enumerate_indices, homogeneous_table,
                                rietsch_eigenvector, roots_tuple, schur_eval,
-                               schur_values, schur_values_box)
+                               schur_values_box)
 
 from oracles import h_monomial, schur_brute
 
@@ -126,10 +126,9 @@ class TestSchurEval:
         p = GrassmannianParams(3, 6)
         lams = enumerate_partitions(p)
         x = random_tuple(3)
-        batch = schur_values(lams, x)
+        batch = schur_values_box(p, x)
         for lam, v in zip(lams, batch):
             assert abs(v - schur_eval(lam, x)) < 1e-10
-        assert np.allclose(schur_values_box(p, x), batch)
 
 
 class TestRietschEigenvector:
@@ -143,6 +142,16 @@ class TestRietschEigenvector:
         lams = enumerate_partitions(p)
         assert abs(v[lams.index((0, 0))] - 1.0) < TAU_ALG
         assert abs(v[lams.index((1, 0))] - np.sqrt(2)) < TAU_ALG
+
+    def test_matches_jacobi_trudi(self):
+        # n <= 10 covers k <= n/2 and the complementary-roots branch k > n/2
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                for I in enumerate_indices(p):
+                    want = np.conj(schur_values_box(p, roots_tuple(I, p)))
+                    got = rietsch_eigenvector(I, p)
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_never_zero(self):
         for n in range(2, 8):
