@@ -1,21 +1,24 @@
 """The oriented quantum Bruhat graph of Gr(k,n) and its incidence matrix.
 
 Vertices are the box partitions; there is an edge lam -> mu whenever sigma_mu
-appears in the divisor multiplication sigma_(1) * sigma_lam.  Cover edges
-carry degree 0, the single wrap-around edge (when it exists) carries degree 1.
+appears in the divisor multiplication sigma_(1) * sigma_lam.  On the ring of
+combinatorics.ring_states each edge is one particle hopping clockwise to an
+empty site: a cover (degree 0) adds one box, and the single wrap from site
+n-1 to site 0 is the q-edge (degree 1).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
-                            covers, enumerate_partitions, quantum_target)
+                            lex_rank, partitions_of, ring_states)
 
 
 @dataclass(frozen=True)
@@ -25,35 +28,73 @@ class QuantumEdge:
     degree: int  # power of q contributed, 0 or 1
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumBruhatGraph:
+    """Vertex i sits at the sites states[i]; column e of edge_table holds
+    (source, target, degree) of edge e in export order.  Partition tuples and
+    QuantumEdges are made only when read."""
+
     params: GrassmannianParams
-    vertices: list[Partition]
-    edges: list[QuantumEdge]
-    vertex_index: dict[Partition, int] = field(repr=False, default_factory=dict)
+    states: np.ndarray
+    edge_table: np.ndarray
+
+    @cached_property
+    def vertices(self) -> list[Partition]:
+        return partitions_of(self.states)
+
+    @cached_property
+    def vertex_index(self) -> dict[Partition, int]:
+        return {lam: i for i, lam in enumerate(self.vertices)}
+
+    @property
+    def edges(self) -> _Edges:
+        return _Edges(self)
 
     @property
     def quantum_edge_count(self) -> int:
-        return sum(1 for e in self.edges if e.degree == 1)
+        return int(self.edge_table[2].sum())
+
+
+@dataclass
+class _Edges:
+    graph: QuantumBruhatGraph
+
+    def __len__(self) -> int:
+        return self.graph.edge_table.shape[1]
+
+    def __iter__(self):
+        v = self.graph.vertices
+        for s, t, d in zip(*self.graph.edge_table.tolist()):
+            yield QuantumEdge(v[s], v[t], d)
 
 
 def build_graph(params: GrassmannianParams,
                 rank_cap: int = DEFAULT_RANK_CAP) -> QuantumBruhatGraph:
-    """Apply the divisor multiplication rule at every vertex.
+    """All particle hops, one vectorized pass per particle.
 
     Edges are emitted in deterministic order: sources in canonical vertex
     order, cover targets by canonical index, then the degree-1 edge.
     """
-    vertices = enumerate_partitions(params, rank_cap=rank_cap)
-    index = {lam: i for i, lam in enumerate(vertices)}
-    edges = []
-    for lam in vertices:
-        targets = sorted(covers(lam, params), key=index.__getitem__)
-        edges.extend(QuantumEdge(lam, mu, 0) for mu in targets)
-        star = quantum_target(lam, params)
-        if star is not None:
-            edges.append(QuantumEdge(lam, star, 1))
-    return QuantumBruhatGraph(params, vertices, edges, index)
+    k, n = params.k, params.n
+    states, ranks = ring_states(params, rank_cap)
+    # the site after the top particle's is the bottom one's, a turn further
+    ahead = np.column_stack([states[:, 1:], states[:, 0] + n])
+    sources, targets, degrees = [], [], []
+    # Top particle first: its cover adds a box to an earlier row, so the
+    # target is lex-larger, earlier in canonical order.
+    for p in reversed(range(k)):
+        movers = np.flatnonzero(states[:, p] + 1 < ahead[:, p])
+        hopped = states[movers]
+        degrees.append(hopped[:, p] == n - 1)
+        hopped[:, p] = (hopped[:, p] + 1) % n
+        if p == k - 1:
+            hopped.sort(axis=1)  # a wrap to site 0 makes the new bottom
+        sources.append(movers)
+        targets.append(lex_rank(hopped, n))
+    source, degree = np.concatenate(sources), np.concatenate(degrees)
+    table = np.array([source, np.argsort(ranks)[np.concatenate(targets)], degree])
+    return QuantumBruhatGraph(params, states, table[:, np.argsort(
+        2 * source + degree, kind="stable")])
 
 
 def incidence_matrix(graph: QuantumBruhatGraph) -> sp.csr_matrix:
@@ -62,11 +103,10 @@ def incidence_matrix(graph: QuantumBruhatGraph) -> sp.csr_matrix:
     Columns are sources so the operator acts on coefficient vectors by left
     multiplication.
     """
-    m = len(graph.vertices)
-    rows = [graph.vertex_index[e.target] for e in graph.edges]
-    cols = [graph.vertex_index[e.source] for e in graph.edges]
-    data = np.ones(len(graph.edges), dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+    m = len(graph.states)
+    source, target, _ = graph.edge_table
+    data = np.ones(len(source), dtype=np.int64)
+    return sp.csr_matrix((data, (target, source)), shape=(m, m))
 
 
 def is_strongly_connected(graph: QuantumBruhatGraph) -> bool:

@@ -34,7 +34,6 @@ class RunConfig:
     command: str
     k: int | None = None
     n: int | None = None
-    k_max: int | None = None
     n_max: int | None = None
     tol: float = 1e-8
     grid_step: float = 0.01
@@ -109,8 +108,9 @@ def _sweep_row(args):
         op = sp_mod.c1_operator(params, rank_cap=rank_cap)
         matrix_delta0 = sp_mod.principal_eigenvalue(op, shift=float(n))
         if abs(matrix_delta0 - grep.delta0) > tol * max(1.0, grep.delta0):
-            grep.verdict = "VIOLATION"
-    return (k, n, grep.delta0, matrix_delta0, grep.bound, grep.margin, grep.verdict)
+            grep.verdict = "ROUTES_DISAGREE"
+    return {"k": k, "n": n, "delta0": grep.delta0, "delta0_matrix": matrix_delta0,
+            "bound": grep.bound, "margin": grep.margin, "verdict": grep.verdict}
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -124,16 +124,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         rows = [_sweep_row(j) for j in jobs]
     if cfg.format == "json":
-        print(json.dumps([{"k": k, "n": n, "delta0": d0, "bound": b,
-                           "margin": m, "verdict": v}
-                          for (k, n, d0, _, b, m, v) in rows],
-                         separators=(",", ":")))
+        print(json.dumps(rows, separators=(",", ":")))
     else:
         print("k n delta0 bound margin verdict")
-        for (k, n, d0, _, b, m, v) in rows:
-            print(f"{k} {n} {d0:.10f} {b:g} {m:.10f} {v}")
-    bad = [r for r in rows if r[6] == "VIOLATION"]
-    return EXIT_MATH_FAIL if bad else EXIT_OK
+        for r in rows:
+            print(f"{r['k']} {r['n']} {r['delta0']:.10f} {r['bound']:g} "
+                  f"{r['margin']:.10f} {r['verdict']}")
+    failed = any(r["verdict"] in ("VIOLATION", "ROUTES_DISAGREE") for r in rows)
+    return EXIT_MATH_FAIL if failed else EXIT_OK
 
 
 def cmd_graph(cfg: RunConfig) -> int:
@@ -251,7 +249,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    workers = int(os.environ.get("CHEVALLEY_WORKERS", "1"))
     try:
         if args.command == "verify":
             cfg = RunConfig("verify", k=args.k, n=args.n, tol=args.tol,
@@ -259,6 +256,7 @@ def main(argv=None) -> int:
                             format=args.format, rank_cap=args.rank_cap)
             return cmd_verify(cfg)
         if args.command == "sweep":
+            workers = int(os.environ.get("CHEVALLEY_WORKERS", "1"))
             cfg = RunConfig("sweep", n_max=args.n_max, tol=args.tol,
                             format=args.format, rank_cap=args.rank_cap,
                             parallelism=workers)
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
             return cmd_fk(cfg, args.x_min, args.x_max, args.step)
         if args.command == "inequalities":
             cfg = RunConfig("inequalities", n_max=args.n_max,
-                            grid_step=args.grid_step, parallelism=workers)
+                            grid_step=args.grid_step)
             return cmd_inequalities(cfg)
         return EXIT_USAGE
     except (ValueError, InstanceTooLargeError) as exc:

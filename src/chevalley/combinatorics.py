@@ -9,7 +9,10 @@ each weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .errors import InstanceTooLargeError
 
@@ -58,13 +61,42 @@ def is_valid_partition(lam: Partition, params: GrassmannianParams) -> bool:
     return 0 <= lam[-1] and lam[0] <= params.box_width
 
 
-def _boxed(rows: int, width: int):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(width, -1, -1):
-        for rest in _boxed(rows - 1, first):
-            yield (first,) + rest
+def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Position of each sorted r-subset of range(n) (the last axis) in the
+    lexicographic list of all r-subsets: C(n,r) - 1 - sum_i C(n-1-a_i, r-i).
+    Only C(x, y) <= C(n,r) with x - y < n - r occur; the rest is zeroed, so
+    no table entry overflows int64."""
+    r = subsets.shape[-1]
+    binom = np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
+                      for x in range(n)], dtype=np.int64)
+    return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
+
+
+def k_subsets(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) as sorted rows, row i of lex rank i."""
+    flat = chain.from_iterable(combinations(range(n), r))
+    return np.fromiter(flat, dtype=np.intp, count=comb(n, r) * r).reshape(-1, r)
+
+
+def ring_states(params: GrassmannianParams,
+                rank_cap: int = DEFAULT_RANK_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Each box partition lam as k particles on a ring of n sites, at the
+    sorted sites S = {lam_j + k - j}: (states, ranks) in canonical order,
+    with the lex rank of each.  The rank cap is checked before enumerating."""
+    if params.rank > rank_cap:
+        raise InstanceTooLargeError(
+            f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {rank_cap}")
+    states = k_subsets(params.n, params.k)
+    # lexsort's last key is the primary one: weight, then lam lex-descending,
+    # which is the sites from the top one down, each descending
+    ranks = np.lexsort((*(-states.T), states.sum(axis=1)))
+    return states[ranks], ranks
+
+
+def partitions_of(states: np.ndarray) -> list[Partition]:
+    """The partitions lam_j = S_{k+1-j} - (k - j) of rows of sorted sites."""
+    lams = (states - np.arange(states.shape[1]))[:, ::-1]
+    return list(map(tuple, lams.tolist()))
 
 
 def enumerate_partitions(params: GrassmannianParams,
@@ -74,12 +106,7 @@ def enumerate_partitions(params: GrassmannianParams,
     Canonical order: increasing weight, then lexicographically descending
     within a weight class.  Length is always binomial(n, k).
     """
-    if params.rank > rank_cap:
-        raise InstanceTooLargeError(
-            f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {rank_cap}")
-    parts = list(_boxed(params.k, params.box_width))
-    parts.sort(key=lambda p: (sum(p), tuple(-x for x in p)))
-    return parts
+    return partitions_of(ring_states(params, rank_cap)[0])
 
 
 def covers(lam: Partition, params: GrassmannianParams) -> list[Partition]:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .combinatorics import GrassmannianParams, Partition, enumerate_partitions
+from .combinatorics import (GrassmannianParams, Partition, enumerate_partitions,
+                            k_subsets, lex_rank, ring_states)
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
 
@@ -121,15 +121,6 @@ def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
     return np.linalg.det(mats)
 
 
-def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
-    """Position of each sorted r-subset of range(n) (the last axis) in the
-    lexicographic list of all r-subsets: C(n,r) - 1 - sum_i C(n-1-a_i, r-i)."""
-    r = subsets.shape[-1]
-    binom = np.array([[comb(x, y) for y in range(r + 1)] for x in range(n)],
-                     dtype=np.int64)
-    return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
-
-
 @lru_cache(maxsize=64)
 def _minor_tables(params: GrassmannianParams):
     """Index tables of the Laplace expansion behind rietsch_eigenvector.
@@ -150,23 +141,22 @@ def _minor_tables(params: GrassmannianParams):
     """
     k, n = params.k, params.n
     m = min(k, n - k)
-    lams = np.array(enumerate_partitions(params))
-    cols = lams[:, ::-1] + np.arange(k)
-    sign = np.ones(len(lams))
+    states, perm = ring_states(params)
+    sign = np.ones(len(perm))
     if m < k:
-        keep = np.ones((len(lams), n), dtype=bool)
-        keep[np.arange(len(lams))[:, None], cols] = False
-        cols = np.nonzero(keep)[1].reshape(-1, m)
-        sign = (-1.0) ** lams.sum(axis=1)
+        keep = np.ones((len(perm), n), dtype=bool)
+        keep[np.arange(len(perm))[:, None], states] = False
+        perm = lex_rank(np.nonzero(keep)[1].reshape(-1, m), n)
+        sign = (-1.0) ** (states.sum(axis=1) - k * (k - 1) // 2)
     levels = []
     for j in range(1, m + 1):
-        subsets = np.array(list(combinations(range(n), j)))
+        subsets = k_subsets(n, j)
         others = np.array([[q for q in range(j) if q != p] for p in range(j)],
                           dtype=np.intp).reshape(j, j - 1)
-        child = _lex_rank(subsets[:, others], n)
+        child = lex_rank(subsets[:, others], n)
         alt = (-1.0) ** (j - 1 + np.arange(j))
         levels.append((subsets, child, alt))
-    return tuple(levels), _lex_rank(cols, n), sign, m < k
+    return tuple(levels), perm, sign, m < k
 
 
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:

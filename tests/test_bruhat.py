@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from chevalley.bruhat import (build_graph, export_graph, incidence_matrix,
                               is_strongly_connected)
 from chevalley.combinatorics import (GrassmannianParams, covers, dual_partition,
                                      quantum_target)
+from chevalley.errors import InstanceTooLargeError
 
 
 def all_params(n_max):
@@ -55,6 +57,38 @@ class TestBuildGraph:
             if star is not None:
                 expected.add((star, 1))
             assert targets == expected
+
+    def test_rank_cap(self):
+        with pytest.raises(InstanceTooLargeError):
+            build_graph(GrassmannianParams(10, 30), rank_cap=1000)
+
+
+class TestReferenceRule:
+    """The particle-hop graph against the per-partition rule."""
+
+    def test_ordered_vertices_and_edges(self):
+        for p in all_params(10):
+            boxed = [lam for lam in product(range(p.box_width, -1, -1), repeat=p.k)
+                     if all(a >= b for a, b in zip(lam, lam[1:]))]
+            vertices = sorted(boxed, key=lambda lam: (sum(lam), [-x for x in lam]))
+            index = {lam: i for i, lam in enumerate(vertices)}
+            expected = []
+            for lam in vertices:
+                expected.extend((lam, mu, 0) for mu in
+                                sorted(covers(lam, p), key=index.__getitem__))
+                star = quantum_target(lam, p)
+                if star is not None:
+                    expected.append((lam, star, 1))
+            g = build_graph(p)
+            assert g.vertices == vertices
+            assert [(e.source, e.target, e.degree) for e in g.edges] == expected
+
+    @pytest.mark.parametrize("k,n", [(2, 70), (69, 70), (3, 64)])
+    def test_more_than_63_sites(self, k, n):
+        g = build_graph(GrassmannianParams(k, n))
+        assert len(g.edges) == n * comb(n - 2, k - 1)
+        assert g.quantum_edge_count == comb(n - 2, k - 1)
+        assert is_strongly_connected(g)
 
 
 class TestIncidenceMatrix:

@@ -2,7 +2,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-
+from chevalley import spectral
 from chevalley.cli import main
 
 
@@ -55,6 +55,26 @@ class TestSweep:
         assert code == 0
         lines = [l for l in out.strip().splitlines() if not l.startswith("k ")]
         assert len(lines) == 1 and "holds_equality" in lines[0]
+
+    def test_matrix_value_and_rank_cap_skip(self):
+        code, out, _ = run_cli("sweep", "--n-max", "5", "--rank-cap", "5",
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        skipped = {(r["k"], r["n"]) for r in rows if r["delta0_matrix"] is None}
+        assert skipped == {(2, 4), (2, 5), (3, 5)}
+        assert all(abs(r["delta0_matrix"] - r["delta0"]) < 1e-8
+                   for r in rows if r["delta0_matrix"] is not None)
+
+    def test_route_mismatch_verdict(self, monkeypatch):
+        monkeypatch.delenv("CHEVALLEY_WORKERS", raising=False)
+        monkeypatch.setattr(spectral, "principal_eigenvalue",
+                            lambda matrix, shift: -1.0)
+        code, out, _ = run_cli("sweep", "--n-max", "4", "--format", "json")
+        assert code == 1
+        rows = json.loads(out)
+        assert [r["verdict"] for r in rows] == ["ROUTES_DISAGREE"] * 6
+        assert all(r["delta0_matrix"] == -1.0 for r in rows)
 
     def test_deterministic(self):
         a = run_cli("sweep", "--n-max", "6", "--format", "json")

@@ -1,10 +1,14 @@
+from itertools import combinations
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.combinatorics import (GrassmannianParams, covers, dual_partition,
                                      enumerate_partitions, is_valid_partition,
-                                     quantum_target)
+                                     k_subsets, lex_rank, quantum_target)
 from chevalley.errors import InstanceTooLargeError
 
 from oracles import covers_by_filter
@@ -50,6 +54,16 @@ class TestEnumerate:
     def test_rank_cap(self):
         with pytest.raises(InstanceTooLargeError):
             enumerate_partitions(GrassmannianParams(10, 30), rank_cap=1000)
+
+
+class TestLexRank:
+    @pytest.mark.parametrize("n,r", [(1, 1), (6, 3), (10, 5), (40, 2),
+                                     (70, 68), (70, 69)])
+    def test_rank_of_each_subset_is_its_position(self, n, r):
+        rows = k_subsets(n, r)
+        assert len(rows) == comb(n, r)
+        assert list(map(tuple, rows.tolist())) == list(combinations(range(n), r))
+        assert np.array_equal(lex_rank(rows, n), np.arange(comb(n, r)))
 
 
 class TestCovers:
