@@ -1,58 +1,30 @@
 #!/usr/bin/env python3
-"""End-to-end verification run: four-route delta0 agreement with residual and
-rotation checks for every (k,n) up to n_max, then the full inequality suites.
+"""End-to-end verification run through the CLI: `chevalley verify` for every
+(k,n) up to n_max, then `chevalley inequalities --n-max 60`.
 
-Prints one line per instance and exits nonzero on the first failure.
+Prints one JSON report line per instance, then the suite's summary, and
+returns the first nonzero CLI exit code (1 a check failed, 2 usage error).
 """
 
 import argparse
 import sys
 
-from chevalley.combinatorics import GrassmannianParams
-from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
-                              check_k2_inequality, check_second_proof_lemma,
-                              verify_galkin)
-from chevalley.spectral import spectral_report
+from chevalley import cli
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=12)
-    ap.add_argument("--tol", type=float, default=1e-8)
+    ap.add_argument("--tol", default="1e-8")
     args = ap.parse_args()
 
     for n in range(2, args.n_max + 1):
         for k in range(1, n):
-            p = GrassmannianParams(k, n)
-            srep = spectral_report(p, tol=args.tol)
-            grep = verify_galkin(p)
-            ok = (grep.verdict != "VIOLATION" and grep.consistent
-                  and srep.top_multiplicity == 1 and srep.rotation_closed
-                  and srep.max_eigen_residual < args.tol)
-            print(f"Gr({k},{n}): delta0={srep.delta0_sine:.10f} "
-                  f"margin={grep.margin:.6f} residual={srep.max_eigen_residual:.2e} "
-                  f"iters={srep.power_iterations} {grep.verdict}")
-            if not ok:
-                return 1
-
-    for n in range(6, 61):
-        if not check_second_proof_lemma(n):
-            print(f"FAIL second proof lemma at n={n}")
-            return 1
-    for n in range(4, 10_001):
-        if not check_k2_inequality(n):
-            print(f"FAIL k=2 inequality at n={n}")
-            return 1
-    for k in range(3, 13):
-        if check_boundary_equality(k) >= 1e-9:
-            print(f"FAIL boundary equality at k={k}")
-            return 1
-    for k in range(2, 13):
-        if not check_concavity_monotonicity(k):
-            print(f"FAIL concavity/monotonicity at k={k}")
-            return 1
-    print("all instance and inequality checks passed")
-    return 0
+            code = cli.main(["verify", "--k", str(k), "--n", str(n),
+                             "--tol", args.tol, "--format", "json"])
+            if code:
+                return code
+    return cli.main(["inequalities", "--n-max", "60"])
 
 
 if __name__ == "__main__":

@@ -109,9 +109,9 @@ def incidence_matrix(graph: QuantumBruhatGraph) -> sp.csr_matrix:
     return sp.csr_matrix((data, (target, source)), shape=(m, m))
 
 
-def is_strongly_connected(graph: QuantumBruhatGraph) -> bool:
-    ncomp, _ = connected_components(incidence_matrix(graph),
-                                    directed=True, connection="strong")
+def is_strongly_connected(matrix: sp.spmatrix) -> bool:
+    """Whether the directed graph of the matrix's nonzeros is strongly connected."""
+    ncomp, _ = connected_components(matrix, directed=True, connection="strong")
     return ncomp == 1
 
 

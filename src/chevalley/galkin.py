@@ -4,16 +4,26 @@ checks behind both proofs of the lower bound.
 delta0 for Gr(k,n) has two closed forms: the sine ratio n*sin(pi k/n)/sin(pi/n)
 and an even/odd cosine sum.  F^k(x) = delta0^k(x) - k(x-k) - 1 measures the
 gap over the bound dim+1; its nonnegativity at integer points is the bound.
+These formulas apply elementwise to numpy arrays, so each grid-sampled lemma
+check is one comparison over an integer-indexed grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import floor
+
+import numpy as np
+from numpy import cos, pi, sin
 
 from .combinatorics import GrassmannianParams
 
 TAU_NUM = 1e-9  # slack for grid-sampled inequality checks
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo + i*step for i = 0 .. floor((hi - lo)/step), indexed so no sum drifts."""
+    return lo + step * np.arange(floor((hi - lo) / step + 1e-9) + 1)
 
 
 def delta0_sine(k: int, x: float) -> float:
@@ -62,7 +72,7 @@ class GalkinReport:
 def verify_galkin(params: GrassmannianParams, tol: float = TAU_NUM) -> GalkinReport:
     """Check delta0 >= dim + 1 with relative equality detection."""
     k, n = params.k, params.n
-    delta0 = delta0_sine(k, float(n))
+    delta0 = float(delta0_sine(k, float(n)))
     bound = float(k * (n - k) + 1)
     margin = delta0 - bound
     eq_tol = tol * max(1.0, bound)
@@ -89,20 +99,15 @@ def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
     """Sine-form delta0(x) >= x(n-x)+1 sampled on [3, n/2]."""
     if n < 6:
         raise ValueError("lemma requires n >= 6")
-    x = 3.0
-    while x <= n / 2 + 1e-12:
-        lhs = n * sin(pi * x / n) / sin(pi / n)
-        if lhs < x * (n - x) + 1.0 - TAU_NUM:
-            return False
-        x += grid_step
-    return True
+    x = _grid(3.0, n / 2, grid_step)
+    return bool(np.all(delta0_sine(x, n) >= x * (n - x) + 1.0 - TAU_NUM))
 
 
 def check_k2_inequality(n: int) -> bool:
     """2n cos(pi/n) >= 2n - 3, the k=2 reduction."""
     if n < 4:
         raise ValueError("requires n >= 4")
-    return 2 * n * cos(pi / n) >= 2 * n - 3 - TAU_NUM
+    return bool(2 * n * cos(pi / n) >= 2 * n - 3 - TAU_NUM)
 
 
 def check_boundary_equality(k: int) -> float:
@@ -115,7 +120,7 @@ def check_boundary_equality(k: int) -> float:
 
 def check_limit(k: int, X: float = 1e8, tol: float = 1e-4) -> bool:
     """F^k(X) is within tol of the limit value k^2 - 1."""
-    return abs(fk(k, X) - (k * k - 1)) < tol
+    return bool(abs(fk(k, X) - (k * k - 1)) < tol)
 
 
 def check_concavity_monotonicity(k: int, x_max: float = 100.0,
@@ -127,14 +132,9 @@ def check_concavity_monotonicity(k: int, x_max: float = 100.0,
     """
     if k < 2:
         raise ValueError("requires k >= 2")
-    x = 2.0 * (k - 1) + grid_step
-    while x <= x_max + 1e-12:
-        if fk_second_derivative(k, x) >= TAU_NUM:
-            return False
-        if fk(k, x + grid_step) - fk(k, x) <= -TAU_NUM:
-            return False
-        x += grid_step
-    return True
+    x = _grid(2.0 * (k - 1) + grid_step, x_max, grid_step)
+    return bool(np.all(fk_second_derivative(k, x) < TAU_NUM)
+                and np.all(fk(k, x + grid_step) - fk(k, x) > -TAU_NUM))
 
 
 def fk_table(k: int, x_min: float, x_max: float,
@@ -142,11 +142,7 @@ def fk_table(k: int, x_min: float, x_max: float,
     """Grid samples (x, F^k(x)) for CSV emission."""
     if x_min <= 0 or step <= 0:
         raise ValueError("need x_min > 0 and step > 0")
-    rows = []
-    x = x_min
-    while x <= x_max + 1e-12:
-        rows.append((x, fk(k, x)))
-        x += step
-    if not rows:
+    x = _grid(x_min, x_max, step)
+    if not len(x):
         raise ValueError("empty grid range")
-    return rows
+    return list(zip(x.tolist(), fk(k, x).tolist()))

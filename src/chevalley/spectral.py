@@ -138,12 +138,11 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                     rank_cap: int = DEFAULT_RANK_CAP) -> SpectralReport:
     """Compute delta0 by all four routes and cross-check them pairwise."""
     k, n = params.k, params.n
-    graph = build_graph(params, rank_cap=rank_cap)
-    if not is_strongly_connected(graph):
+    matrix = c1_operator(params, rank_cap=rank_cap)
+    if not is_strongly_connected(matrix):
         raise CrossCheckError(
             f"quantum Bruhat graph of Gr({k},{n}) is not strongly connected; "
             "Perron-Frobenius reasoning does not apply")
-    matrix = n * incidence_matrix(graph).astype(float)
     if shift is None:
         shift = float(n)
     d_matrix, iterations, _ = _power_iteration(matrix, shift, power_tol, max_iter)
@@ -164,8 +163,7 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                 raise CrossCheckError(
                     f"delta0 routes disagree: {a}={routes[a]!r} vs {b}={routes[b]!r}")
 
-    operator = matrix
-    max_residual = max(eigen_residual(I, params, operator)
+    max_residual = max(eigen_residual(I, params, matrix)
                        for I in enumerate_indices(params))
     top_mult, rot_closed, top_roots = property_o_check(params, tol)
     return SpectralReport(

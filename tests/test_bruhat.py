@@ -88,7 +88,7 @@ class TestReferenceRule:
         g = build_graph(GrassmannianParams(k, n))
         assert len(g.edges) == n * comb(n - 2, k - 1)
         assert g.quantum_edge_count == comb(n - 2, k - 1)
-        assert is_strongly_connected(g)
+        assert is_strongly_connected(incidence_matrix(g))
 
 
 class TestIncidenceMatrix:
@@ -118,7 +118,7 @@ class TestIncidenceMatrix:
 class TestConnectivity:
     def test_all_small_instances(self):
         for p in all_params(10):
-            assert is_strongly_connected(build_graph(p))
+            assert is_strongly_connected(incidence_matrix(build_graph(p)))
 
 
 class TestDualityIsomorphism:

@@ -40,6 +40,11 @@ class TestVerify:
         code, _, _ = run_cli("verify", "--k", "2")
         assert code == 2
 
+    def test_zero_tol(self):
+        code, _, err = run_cli("verify", "--k", "2", "--n", "4", "--tol", "0")
+        assert code == 2
+        assert "--tol" in err
+
 
 class TestSweep:
     def test_nmax5(self):
@@ -75,6 +80,11 @@ class TestSweep:
         rows = json.loads(out)
         assert [r["verdict"] for r in rows] == ["ROUTES_DISAGREE"] * 6
         assert all(r["delta0_matrix"] == -1.0 for r in rows)
+
+    def test_rank_cap_below_two(self):
+        code, out, err = run_cli("sweep", "--n-max", "5", "--rank-cap", "1")
+        assert code == 2
+        assert out == "" and "--rank-cap" in err
 
     def test_deterministic(self):
         a = run_cli("sweep", "--n-max", "6", "--format", "json")
@@ -159,3 +169,8 @@ class TestInequalities:
     def test_too_small(self):
         code, _, _ = run_cli("inequalities", "--n-max", "5")
         assert code == 2
+
+    def test_zero_grid_step(self):
+        code, out, err = run_cli("inequalities", "--n-max", "8", "--grid-step", "0")
+        assert code == 2
+        assert out == "" and "--grid-step" in err

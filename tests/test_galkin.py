@@ -11,7 +11,7 @@ from chevalley.galkin import (check_boundary_equality, check_concavity_monotonic
                               check_k2_inequality, check_limit,
                               check_second_proof_lemma, delta0_cosine_sum,
                               delta0_sine, fk, fk_second_derivative, fk_table,
-                              reduction_domain, verify_galkin)
+                              reduction_domain, verify_galkin, _grid)
 
 RNG = np.random.default_rng(7)
 
@@ -135,6 +135,12 @@ class TestLemmaChecks:
         with pytest.raises(ValueError):
             check_second_proof_lemma(5)
 
+    def test_lemma_grid_reaches_n_over_2(self):
+        for n in range(6, 401):
+            x = _grid(3.0, n / 2, 0.01)
+            assert len(x) == round((n / 2 - 3.0) / 0.01) + 1
+            assert abs(x[-1] - n / 2) < 1e-9
+
     def test_k2_inequality(self):
         assert check_k2_inequality(4)
         assert check_k2_inequality(100)
@@ -163,3 +169,13 @@ class TestFkTable:
             fk_table(2, -1.0, 5.0, 1.0)
         with pytest.raises(ValueError):
             fk_table(2, 10.0, 5.0, 1.0)
+
+    def test_endpoint_included(self):
+        rows = fk_table(2, 3.0, 24.5, 0.01)
+        assert len(rows) == 2151
+        assert rows[-1][0] == 24.5
+
+    def test_integer_indexed_x(self):
+        xs = [x for x, _ in fk_table(4, 6.1, 100.0, 0.1)]
+        assert xs == [6.1 + 0.1 * i for i in range(len(xs))]
+        assert len(xs) == 940
