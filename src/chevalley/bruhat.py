@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
                             lex_rank, partitions_of, ring_states)
@@ -109,10 +108,24 @@ def incidence_matrix(graph: QuantumBruhatGraph) -> sp.csr_matrix:
     return sp.csr_matrix((data, (target, source)), shape=(m, m))
 
 
+def _reaches_all(pattern: sp.spmatrix) -> bool:
+    """Whether vertex 0 reaches every vertex along pattern's edges, with
+    pattern[t, s] > 0 for an edge s -> t: one sparse product per level."""
+    seen = np.zeros(pattern.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.astype(float)
+    while frontier.any():
+        new = (pattern @ frontier > 0) & ~seen
+        seen |= new
+        frontier = new.astype(float)
+    return bool(seen.all())
+
+
 def is_strongly_connected(matrix: sp.spmatrix) -> bool:
-    """Whether the directed graph of the matrix's nonzeros is strongly connected."""
-    ncomp, _ = connected_components(matrix, directed=True, connection="strong")
-    return ncomp == 1
+    """Whether the directed graph of the matrix's nonzeros is strongly connected:
+    vertex 0 reaches every vertex along the edges and against them."""
+    pattern = abs(sp.csr_matrix(matrix))
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 
 def _fmt(lam: Partition) -> str:

@@ -3,7 +3,11 @@
 Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error (including --tol or --grid-step <= 0 and --rank-cap < 2).
-Worker count for the sweep is taken from CHEVALLEY_WORKERS (default 1); the
+In verify, --shift is the shift of the power steps that certify the matrix
+route's Collatz-Wielandt bracket (default n), and --max-iter caps the
+operator products of its Arnoldi seed and those steps together.  A sweep row
+whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Worker
+count for the sweep is taken from CHEVALLEY_WORKERS (default 1); the
 inequality suite and single-instance commands are always sequential.
 """
 
@@ -49,6 +53,7 @@ def _report_json(params, srep: sp_mod.SpectralReport, grep: gk.GalkinReport) -> 
             "rotation_closed": srep.rotation_closed,
         },
         "max_eigen_residual": srep.max_eigen_residual,
+        "matrix_bracket": list(srep.matrix_bracket),
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -87,9 +92,13 @@ def _sweep_row(args):
     matrix_delta0 = None
     if params.rank <= rank_cap:
         op = sp_mod.c1_operator(params, rank_cap=rank_cap)
-        matrix_delta0 = sp_mod.principal_eigenvalue(op, shift=float(n))
-        if abs(matrix_delta0 - grep.delta0) > tol * max(1.0, grep.delta0):
-            grep.verdict = "ROUTES_DISAGREE"
+        try:
+            matrix_delta0 = sp_mod.principal_eigenvalue(op, shift=float(n))
+        except IterationFailureError:
+            grep.verdict = "NOT_CONVERGED"
+        else:
+            if abs(matrix_delta0 - grep.delta0) > tol * max(1.0, grep.delta0):
+                grep.verdict = "ROUTES_DISAGREE"
     return {"k": k, "n": n, "delta0": grep.delta0, "delta0_matrix": matrix_delta0,
             "bound": grep.bound, "margin": grep.margin, "verdict": grep.verdict}
 
@@ -112,7 +121,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for r in rows:
             print(f"{r['k']} {r['n']} {r['delta0']:.10f} {r['bound']:g} "
                   f"{r['margin']:.10f} {r['verdict']}")
-    failed = any(r["verdict"] in ("VIOLATION", "ROUTES_DISAGREE") for r in rows)
+    failed = any(r["verdict"] in ("VIOLATION", "ROUTES_DISAGREE", "NOT_CONVERGED")
+                 for r in rows)
     return EXIT_MATH_FAIL if failed else EXIT_OK
 
 
@@ -212,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="four-route delta0 + Galkin bound check")
     common(p)
     p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=1_000_000)
+    p.add_argument("--max-iter", type=int, default=sp_mod.DEFAULT_MAX_ITER)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=cmd_verify)
 

@@ -9,6 +9,7 @@ each weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
@@ -61,14 +62,22 @@ def is_valid_partition(lam: Partition, params: GrassmannianParams) -> bool:
     return 0 <= lam[-1] and lam[0] <= params.box_width
 
 
+@lru_cache(maxsize=None)
+def _banded_binomials(n: int, r: int) -> np.ndarray:
+    """C(x, y) for x < n, y <= r where x - y < n - r, zero elsewhere."""
+    table = np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
+                      for x in range(n)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     """Position of each sorted r-subset of range(n) (the last axis) in the
     lexicographic list of all r-subsets: C(n,r) - 1 - sum_i C(n-1-a_i, r-i).
     Only C(x, y) <= C(n,r) with x - y < n - r occur; the rest is zeroed, so
     no table entry overflows int64."""
     r = subsets.shape[-1]
-    binom = np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
-                      for x in range(n)], dtype=np.int64)
+    binom = _banded_binomials(n, r)
     return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
 
 

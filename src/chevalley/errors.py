@@ -6,7 +6,9 @@ class InstanceTooLargeError(ValueError):
 
 
 class IterationFailureError(RuntimeError):
-    """Power iteration did not converge; carries the last iterate."""
+    """The matrix route's Collatz-Wielandt bracket did not narrow to its
+    tolerance within max_iter operator products; carries the last iterate,
+    the last bracket's midpoint and the product count."""
 
     def __init__(self, message, last_value=None, last_vector=None, iterations=None):
         super().__init__(message)

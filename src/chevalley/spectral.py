@@ -1,10 +1,11 @@
 """The divisor-class operator at q=1, its spectrum and consistency checks.
 
 The operator is n times the quantum Bruhat incidence matrix.  Its principal
-eigenvalue is computed by shifted power iteration (the unshifted operator has
-n eigenvalues of equal top modulus, so a positive shift is required for
-convergence), the full spectrum comes from the closed form n*S_(1) evaluated
-over the index set, and every closed-form eigenpair is validated by residual.
+eigenvalue is seeded by thick-restart Arnoldi and certified by shifted power
+steps that stop on the width of the Collatz-Wielandt bracket (the unshifted
+operator has n eigenvalues of equal top modulus, so the steps need a positive
+shift), the full spectrum comes from the closed form n*S_(1) evaluated over
+the index set, and every closed-form eigenpair is validated by residual.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .symfunc import (SpectralIndex, central_index, enumerate_indices,
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
+KRYLOV_BASIS = 20  # Arnoldi vectors held at once
+KRYLOV_KEEP = 10  # Ritz directions kept across a restart
 
 
 @dataclass
@@ -37,7 +40,8 @@ class SpectralReport:
     rotation_closed: bool
     top_arguments_are_roots: bool
     max_eigen_residual: float
-    power_iterations: int
+    power_iterations: int  # operator products, Arnoldi and power steps
+    matrix_bracket: tuple[float, float]  # Collatz-Wielandt [lo, hi] on delta0
 
 
 def c1_operator(params: GrassmannianParams,
@@ -47,24 +51,101 @@ def c1_operator(params: GrassmannianParams,
     return params.n * incidence_matrix(graph).astype(float)
 
 
+def _arnoldi_seed(matrix, tol, max_iter):
+    """Rightmost Ritz vector of matrix and the operator products it took.
+
+    Thick-restart Arnoldi from the all-ones vector: a basis of at most
+    KRYLOV_BASIS vectors, restarted on an orthonormal basis of the real
+    invariant subspace of the KRYLOV_KEEP rightmost Ritz values (each
+    conjugate pair taken once, as its real and imaginary parts).  It stops
+    when the rightmost Ritz residual is below tol/100 relative, when the basis
+    spans an invariant subspace (always, by rank <= KRYLOV_BASIS), or at
+    max_iter products.  The vector is only a start: the certifying power
+    steps make the value.
+    """
+    size = matrix.shape[0]
+    m = min(KRYLOV_BASIS, size)
+    basis = np.empty((m + 1, size))
+    h = np.zeros((m + 1, m))
+    basis[0] = 1.0 / np.sqrt(size)
+    if max_iter < 1:
+        return basis[0], 0
+    j = products = 0
+    while True:
+        invariant = False
+        while j < m and products < max_iter:
+            w = matrix @ basis[j]
+            products += 1
+            scale = beta = np.linalg.norm(w)
+            # classical Gram-Schmidt, repeated once if it shrank w below
+            # 1/sqrt(2) of its norm (Daniel-Gragg-Kaufman-Stewart)
+            for _ in range(2):
+                c = basis[:j + 1] @ w
+                w -= c @ basis[:j + 1]
+                h[:j + 1, j] += c
+                before, beta = beta, np.linalg.norm(w)
+                if beta * np.sqrt(2) > before:
+                    break
+            j += 1
+            # a remainder at rounding level (measured <= 1e-14 of ||Av||):
+            # the basis spans an invariant subspace
+            if j == size or beta <= 1e-12 * scale:
+                invariant = True
+                break
+            h[j, j - 1] = beta
+            basis[j] = w / beta
+        theta, y = np.linalg.eig(h[:j, :j])
+        order = np.argsort(-theta.real, kind="stable")
+        theta, y = theta[order], y[:, order]
+        top = y[:, 0].real @ basis[:j]
+        residual = 0.0 if invariant else abs(h[j, :j] @ y[:, 0])
+        if (invariant or products >= max_iter
+                or residual <= tol / 100 * abs(theta[0])):
+            return top, products
+        keep = []
+        for value, vec in zip(theta, y.T):
+            if len(keep) >= KRYLOV_KEEP:
+                break
+            if value.imag >= 0:  # imag < 0: the partner of a pair taken
+                keep += [vec.real, vec.imag] if value.imag > 0 else [vec.real]
+        q, _ = np.linalg.qr(np.column_stack(keep))
+        p = q.shape[1]
+        # A V Q = V Q (Q^T H Q) + v_m (h_m Q): a Krylov decomposition of size p
+        h[:p, :p], h[p, :p] = q.T @ h[:m, :m] @ q, h[m, :m] @ q
+        h[:p + 1, p:] = h[p + 1:, :] = 0.0
+        basis[:p], basis[p] = q.T @ basis[:m], basis[m]
+        j = p
+
+
 def _power_iteration(matrix, shift, tol, max_iter):
-    m = matrix.shape[0]
-    v = np.full(m, 1.0 / np.sqrt(m))
-    rq_prev = None
-    for it in range(1, max_iter + 1):
-        w = matrix @ v + shift * v
-        rq = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
+    """(value, operator products, Collatz-Wielandt bracket) of the Perron root.
+
+    From the Arnoldi seed, v = |Re(Ritz vector)| takes shifted power steps
+    v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and v > 0,
+    min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every product; the
+    midpoint is returned once the width is below tol*max(1, midpoint).
+    """
+    v, products = _arnoldi_seed(matrix, tol, max_iter)
+    v = np.abs(v)
+    lo = hi = np.nan
+    while products < max_iter:
+        norm = np.linalg.norm(v)
+        if not norm > 0:
             raise IterationFailureError("iterate collapsed to zero",
-                                        last_value=rq, last_vector=v, iterations=it)
-        v = w / nw
-        if rq_prev is not None and abs(rq - rq_prev) < tol * max(1.0, abs(rq)):
-            return rq - shift, it, v
-        rq_prev = rq
+                                        last_vector=v, iterations=products)
+        v /= norm
+        av = matrix @ v
+        products += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = av / v
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol * max(1.0, mid):
+            return mid, products, (lo, hi)
+        v = av + shift * v
     raise IterationFailureError(
-        f"no convergence after {max_iter} iterations",
-        last_value=rq_prev - shift, last_vector=v, iterations=max_iter)
+        f"no convergence after {max_iter} operator products",
+        last_value=0.5 * (lo + hi), last_vector=v, iterations=max_iter)
 
 
 def principal_eigenvalue(matrix, shift: float,
@@ -72,8 +153,10 @@ def principal_eigenvalue(matrix, shift: float,
                          max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest real eigenvalue of a nonnegative irreducible matrix.
 
-    Power iteration runs on matrix + shift*I from the all-ones start vector
-    until the Rayleigh quotient settles; the shift is subtracted back off.
+    Thick-restart Arnoldi seeds shifted power steps on matrix + shift*I,
+    which stop when the Collatz-Wielandt bracket is narrower than
+    tol*max(1, value); the bracket's midpoint is returned.  max_iter caps
+    the operator products of both phases.
     """
     value, _, _ = _power_iteration(matrix, shift, tol, max_iter)
     return value
@@ -145,7 +228,8 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
             "Perron-Frobenius reasoning does not apply")
     if shift is None:
         shift = float(n)
-    d_matrix, iterations, _ = _power_iteration(matrix, shift, power_tol, max_iter)
+    d_matrix, iterations, bracket = _power_iteration(matrix, shift, power_tol,
+                                                     max_iter)
 
     one_box = (1,) + (0,) * (k - 1)
     s1 = schur_eval(one_box, roots_tuple(central_index(params), params))
@@ -178,4 +262,5 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
         top_arguments_are_roots=top_roots,
         max_eigen_residual=max_residual,
         power_iterations=iterations,
+        matrix_bracket=bracket,
     )

@@ -2,13 +2,14 @@
 
 These deliberately avoid the algorithms of the package: covers by filtering
 full enumeration, complete homogeneous polynomials by explicit monomial sums,
-determinants by Laplace expansion.
+determinants by Laplace expansion, strong connectivity by scipy's csgraph.
 """
 
 from itertools import combinations_with_replacement
 
 import mpmath
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from chevalley.combinatorics import enumerate_partitions
 
@@ -20,6 +21,12 @@ def covers_by_filter(lam, params):
         if sum(mu) == sum(lam) + 1 and all(a <= b for a, b in zip(lam, mu)):
             out.append(mu)
     return out
+
+
+def strongly_connected_by_csgraph(matrix):
+    """One strong component, by Tarjan-style search in scipy.sparse.csgraph."""
+    ncomp, _ = connected_components(matrix, directed=True, connection="strong")
+    return ncomp == 1
 
 
 def h_monomial(x, m):

@@ -2,13 +2,16 @@ import json
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chevalley.bruhat import (build_graph, export_graph, incidence_matrix,
                               is_strongly_connected)
 from chevalley.combinatorics import (GrassmannianParams, covers, dual_partition,
                                      quantum_target)
 from chevalley.errors import InstanceTooLargeError
+from oracles import strongly_connected_by_csgraph
 
 
 def all_params(n_max):
@@ -115,10 +118,47 @@ class TestIncidenceMatrix:
             assert support == edges
 
 
+def digraph(m, edges):
+    """Matrix with A[t, s] = 1 for each edge s -> t, the incidence convention."""
+    rows = [t for _, t in edges]
+    cols = [s for s, _ in edges]
+    return sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(m, m))
+
+
 class TestConnectivity:
     def test_all_small_instances(self):
         for p in all_params(10):
-            assert is_strongly_connected(incidence_matrix(build_graph(p)))
+            m = incidence_matrix(build_graph(p))
+            assert is_strongly_connected(m)
+            assert strongly_connected_by_csgraph(m)
+
+    def test_directed_path(self):
+        assert not is_strongly_connected(digraph(4, [(0, 1), (1, 2), (2, 3)]))
+        # the same path reversed: vertex 0 is reached by all, reaches none
+        assert not is_strongly_connected(digraph(4, [(3, 2), (2, 1), (1, 0)]))
+
+    def test_two_cycles_joined_one_way(self):
+        cycles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]
+        assert not is_strongly_connected(digraph(5, cycles + [(2, 3)]))
+        assert not is_strongly_connected(digraph(5, cycles + [(3, 2)]))
+        assert is_strongly_connected(digraph(5, cycles + [(2, 3), (4, 0)]))
+
+    def test_isolated_vertex(self):
+        assert not is_strongly_connected(digraph(4, [(0, 1), (1, 2), (2, 0)]))
+        assert not is_strongly_connected(digraph(4, [(1, 2), (2, 3), (3, 1)]))
+        assert is_strongly_connected(digraph(1, []))
+
+    def test_matches_csgraph_on_random_digraphs(self):
+        rng = np.random.default_rng(2024)
+        verdicts = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 16))
+            a = sp.random(m, m, density=rng.uniform(0.0, 0.4), random_state=rng,
+                          format="csr")
+            want = strongly_connected_by_csgraph(a)
+            assert is_strongly_connected(a) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestDualityIsomorphism:

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from chevalley import spectral
 from chevalley.cli import main
+from chevalley.errors import IterationFailureError
 
 
 def run_cli(*argv):
@@ -25,6 +30,9 @@ class TestVerify:
         assert set(obj["delta0"]) == {"matrix", "schur", "sine", "cosine"}
         assert obj["property_o"]["top_multiplicity"] == 1
         assert obj["max_eigen_residual"] < 1e-8
+        lo, hi = obj["matrix_bracket"]
+        assert lo <= obj["delta0"]["matrix"] <= hi
+        assert hi - lo < 1e-12 * obj["delta0"]["matrix"]
 
     def test_projective_space(self):
         code, out, _ = run_cli("verify", "--k", "1", "--n", "9")
@@ -80,6 +88,28 @@ class TestSweep:
         rows = json.loads(out)
         assert [r["verdict"] for r in rows] == ["ROUTES_DISAGREE"] * 6
         assert all(r["delta0_matrix"] == -1.0 for r in rows)
+
+    def test_not_converged_verdict(self, monkeypatch):
+        real = spectral.principal_eigenvalue
+
+        def capped(matrix, shift):  # the cap is hit from rank 4 on
+            if matrix.shape[0] > 3:
+                raise IterationFailureError("capped", last_vector=[1.0])
+            return real(matrix, shift)
+
+        monkeypatch.delenv("CHEVALLEY_WORKERS", raising=False)
+        monkeypatch.setattr(spectral, "principal_eigenvalue", capped)
+        code, out, _ = run_cli("sweep", "--n-max", "4", "--format", "json")
+        assert code == 1
+        rows = json.loads(out)
+        assert [(r["k"], r["n"], r["verdict"]) for r in rows] == [
+            (1, 2, "holds_equality"), (1, 3, "holds_equality"),
+            (2, 3, "holds_equality"), (1, 4, "NOT_CONVERGED"),
+            (2, 4, "NOT_CONVERGED"), (3, 4, "NOT_CONVERGED")]
+        assert [r["delta0_matrix"] is None for r in rows] == [False] * 3 + [True] * 3
+        code, out, _ = run_cli("sweep", "--n-max", "4")
+        assert code == 1
+        assert out.splitlines()[-1].endswith(" NOT_CONVERGED")
 
     def test_rank_cap_below_two(self):
         code, out, err = run_cli("sweep", "--n-max", "5", "--rank-cap", "1")
@@ -174,3 +204,16 @@ class TestInequalities:
         code, out, err = run_cli("inequalities", "--n-max", "8", "--grid-step", "0")
         assert code == 2
         assert out == "" and "--grid-step" in err
+
+
+def test_cli_import_skips_csgraph_and_scipy_linalg():
+    # these pull in ~11 MB and their import time on every CLI start
+    code = ("import sys, chevalley.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:3] in (['scipy', 'sparse', 'csgraph'], "
+            "['scipy', 'sparse', 'linalg']) or m.split('.')[:2] == ['scipy', 'linalg']))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

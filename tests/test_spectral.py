@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +6,8 @@ import scipy.sparse as sp
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
-from chevalley.spectral import (c1_operator, eigen_residual,
+from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
+                                _power_iteration, c1_operator, eigen_residual,
                                 principal_eigenvalue, property_o_check,
                                 spectral_report, spectrum_closed_form)
 from chevalley.symfunc import enumerate_indices, roots_tuple
@@ -46,11 +48,72 @@ class TestPrincipalEigenvalue:
         val = principal_eigenvalue(c1_operator(GrassmannianParams(2, 5)), shift=5.0)
         assert abs(val - 5 * (1 + np.sqrt(5)) / 2) < 1e-9
 
+    def test_random_non_normal_matrix(self):
+        # no ring structure: a seeded sparse nonnegative matrix plus a
+        # directed cycle through every vertex (so it is irreducible)
+        rng = np.random.default_rng(7)
+        m = 300
+        cycle = sp.csr_matrix((np.ones(m), (np.roll(np.arange(m), 1), np.arange(m))))
+        a = (sp.random(m, m, density=0.02, random_state=rng) + cycle).tocsr()
+        dense = a.toarray()
+        assert np.abs(dense @ dense.T - dense.T @ dense).max() > 0.1
+        want = max(np.linalg.eigvals(dense).real)
+        value, products, (lo, hi) = _power_iteration(
+            a, 1.0, DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        assert abs(value - want) < 1e-11 * want
+        assert hi - lo < DEFAULT_POWER_TOL * value
+        assert principal_eigenvalue(a, shift=1.0) == value
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 5)])
+    def test_rank_at_most_basis_size(self, k, n):
+        # the first Arnoldi pass spans the whole space
+        p = GrassmannianParams(k, n)
+        value, products, (lo, hi) = _power_iteration(
+            c1_operator(p), float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        assert products <= p.rank + 1
+        assert abs(value - delta0_sine(k, float(n))) < 1e-13 * value
+        assert lo <= value <= hi
+
     def test_nonconvergence_raises(self):
         m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(IterationFailureError) as info:
             principal_eigenvalue(m, shift=1.0, tol=0.0, max_iter=5)
         assert info.value.last_vector is not None
+
+    def test_no_products_allowed_raises(self):
+        m = c1_operator(GrassmannianParams(2, 5))
+        with pytest.raises(IterationFailureError) as info:
+            principal_eigenvalue(m, shift=5.0, max_iter=0)
+        assert info.value.iterations == 0
+
+
+def bracket_instances():
+    for n in range(2, 13):
+        for k in range(1, n):
+            yield k, n
+    yield from [(2, 40), (2, 100), (2, 161), (9, 18)]
+
+
+class TestCollatzWielandtBracket:
+    @pytest.mark.parametrize("k,n", list(bracket_instances()))
+    def test_narrow_and_contains_sine_form(self, k, n):
+        value, _, (lo, hi) = _power_iteration(
+            c1_operator(GrassmannianParams(k, n)), float(n),
+            DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        # the float sine form is several ulps off at k = n-1
+        with mpmath.workdps(30):
+            want = float(n * mpmath.sinpi(mpmath.mpf(k) / n)
+                         / mpmath.sinpi(mpmath.mpf(1) / n))
+        ulps = 4 * np.spacing(want)
+        assert hi - lo < 1e-12 * max(1.0, value)
+        assert lo - ulps <= want <= hi + ulps
+        assert value == 0.5 * (lo + hi)
+
+    def test_report_carries_bracket(self):
+        r = spectral_report(GrassmannianParams(3, 7))
+        lo, hi = r.matrix_bracket
+        assert lo <= r.delta0_matrix <= hi
+        assert hi - lo < 1e-12 * r.delta0_matrix
 
 
 class TestClosedFormSpectrum:
