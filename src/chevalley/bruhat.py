@@ -41,10 +41,6 @@ class QuantumBruhatGraph:
     def vertices(self) -> list[Partition]:
         return partitions_of(self.states)
 
-    @cached_property
-    def vertex_index(self) -> dict[Partition, int]:
-        return {lam: i for i, lam in enumerate(self.vertices)}
-
     @property
     def edges(self) -> _Edges:
         return _Edges(self)
@@ -149,9 +145,8 @@ def export_graph(graph: QuantumBruhatGraph, format: str) -> str:
             "edge_count": len(graph.edges),
             "quantum_edge_count": graph.quantum_edge_count,
             "vertices": [list(lam) for lam in graph.vertices],
-            "edges": [{"src": graph.vertex_index[e.source],
-                       "dst": graph.vertex_index[e.target],
-                       "q": e.degree} for e in graph.edges],
+            "edges": [{"src": s, "dst": t, "q": d}
+                      for s, t, d in zip(*graph.edge_table.tolist())],
         }
         return json.dumps(obj, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown format {format!r} (expected 'dot' or 'json')")

@@ -19,14 +19,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import galkin as gk
 from . import spectral as sp_mod
 from .bruhat import build_graph, export_graph
 from .combinatorics import DEFAULT_RANK_CAP, GrassmannianParams
 from .errors import CrossCheckError, InstanceTooLargeError, IterationFailureError
-from .symfunc import enumerate_indices, roots_tuple
+from .symfunc import enumerate_indices
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -136,10 +134,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = GrassmannianParams(args.k, args.n)
     op = sp_mod.c1_operator(params, rank_cap=args.rank_cap)
-    indices = enumerate_indices(params)
     ok = True
-    for I in indices:
-        eig = params.n * np.sum(roots_tuple(I, params))
+    spectrum = sp_mod.spectrum_closed_form(params)
+    for I, eig in zip(enumerate_indices(params), spectrum):
         res = sp_mod.eigen_residual(I, params, op)
         if res >= args.tol:
             ok = False

@@ -42,24 +42,12 @@ class GrassmannianParams:
         return comb(self.n, self.k)
 
     @property
-    def fano_index(self) -> int:
-        return self.n
-
-    @property
     def box_width(self) -> int:
         return self.n - self.k
 
     def dual(self) -> "GrassmannianParams":
         """Parameters of the isomorphic Grassmannian Gr(n-k, n)."""
         return GrassmannianParams(self.n - self.k, self.n)
-
-
-def is_valid_partition(lam: Partition, params: GrassmannianParams) -> bool:
-    if len(lam) != params.k:
-        return False
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        return False
-    return 0 <= lam[-1] and lam[0] <= params.box_width
 
 
 @lru_cache(maxsize=None)
@@ -116,25 +104,6 @@ def enumerate_partitions(params: GrassmannianParams,
     within a weight class.  Length is always binomial(n, k).
     """
     return partitions_of(ring_states(params, rank_cap)[0])
-
-
-def covers(lam: Partition, params: GrassmannianParams) -> list[Partition]:
-    """Partitions obtained from lam by adding one box, staying in the box."""
-    out = []
-    for i in range(params.k):
-        ceiling = params.box_width if i == 0 else lam[i - 1]
-        if lam[i] < ceiling:
-            out.append(lam[:i] + (lam[i] + 1,) + lam[i + 1:])
-    return out
-
-
-def quantum_target(lam: Partition, params: GrassmannianParams) -> Partition | None:
-    """The q-edge target: strip the full first row and one box from each
-    remaining row.  Exists only when the first row is full and the last row
-    is nonempty; always returned with exactly k parts (trailing zero)."""
-    if lam[0] != params.box_width or lam[-1] == 0:
-        return None
-    return tuple(x - 1 for x in lam[1:]) + (0,)
 
 
 def dual_partition(lam: Partition, params: GrassmannianParams) -> Partition:

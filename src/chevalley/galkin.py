@@ -27,11 +27,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def delta0_sine(k: int, x: float) -> float:
-    """x * sin(pi k / x) / sin(pi / x), real argument.
-
-    Loses precision once sin(pi/x) underflows; accurate for x up to ~1e12.
-    """
-    return x * sin(pi * k / x) / sin(pi / x)
+    """x * sin(pi k / x) / sin(pi / x), real argument, at the angle
+    pi * min(k, x - k) / x: the same sine, never near pi, where float sin loses
+    relative accuracy.  Accurate for x up to ~1e12 (sin(pi/x) underflows)."""
+    return x * sin(pi * np.minimum(k, x - k) / x) / sin(pi / x)
 
 
 def _cosine_terms(k: int, x: float) -> float:
@@ -86,13 +85,6 @@ def verify_galkin(params: GrassmannianParams, tol: float = TAU_NUM) -> GalkinRep
     is_pn = k == 1 or k == n - 1
     return GalkinReport(params, delta0, bound, margin, equality, is_pn,
                         verdict, consistent=(equality == is_pn))
-
-
-def reduction_domain(params: GrassmannianParams) -> GrassmannianParams:
-    """The dual-reduced instance with k <= n/2; same delta0, same bound."""
-    if params.k <= params.n - params.k:
-        return params
-    return params.dual()
 
 
 def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bruhat import build_graph, incidence_matrix, is_strongly_connected
-from .combinatorics import DEFAULT_RANK_CAP, GrassmannianParams
+from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, k_subsets,
+                            lex_rank)
 from .errors import CrossCheckError, IterationFailureError
 from . import galkin
 from .symfunc import (SpectralIndex, central_index, enumerate_indices,
@@ -179,18 +180,11 @@ def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
     return float(np.max(np.abs(r)) / np.max(np.abs(v)))
 
 
-def _multiset_invariant_under(spectrum: np.ndarray, factor: complex,
-                              tol: float) -> bool:
-    rotated = spectrum * factor
-    used = np.zeros(len(spectrum), dtype=bool)
-    for z in rotated:
-        dist = np.abs(spectrum - z)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > tol:
-            return False
-        used[j] = True
-    return True
+def _rotation(params: GrassmannianParams) -> np.ndarray:
+    """Position of I+ for each index I: every particle of I (its pool positions,
+    listed in the lex order of k_subsets) moves one site on around the ring."""
+    n = params.n
+    return lex_rank(np.sort((k_subsets(n, params.k) + 1) % n, axis=1), n)
 
 
 def property_o_check(params: GrassmannianParams,
@@ -198,15 +192,19 @@ def property_o_check(params: GrassmannianParams,
     """(top multiplicity, rotation closure, top circle lands on roots of unity).
 
     Expected findings: the largest real eigenvalue is simple, the spectrum is
-    invariant under rotation by e^{2 pi i / n}, and every eigenvalue of top
-    modulus is that value times an n-th root of unity.
+    invariant under rotation by zeta = e^{2 pi i / n}, and every eigenvalue of
+    top modulus is that value times an n-th root of unity.  Closure is
+    certified by the bijection I -> I+ of the index set (_rotation), where I+
+    adds 2 to every doubled exponent and wraps past 2n-k-1 by -2n:
+    spectrum[I+] = zeta * spectrum[I] maps the multiset onto its rotation.
     """
     n = params.n
     spectrum = spectrum_closed_form(params)
     delta0 = float(np.max(np.abs(spectrum)))
     top_multiplicity = int(np.sum(np.abs(spectrum - delta0) < tol))
     zeta = np.exp(2j * np.pi / n)
-    rotation_closed = _multiset_invariant_under(spectrum, zeta, tol)
+    rotation_closed = bool(np.all(
+        np.abs(spectrum[_rotation(params)] - zeta * spectrum) < tol))
     roots = delta0 * np.exp(2j * np.pi * np.arange(n) / n)
     top = spectrum[np.abs(np.abs(spectrum) - delta0) < tol]
     top_arguments_are_roots = all(

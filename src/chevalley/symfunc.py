@@ -6,9 +6,10 @@ kept as the tuple of exact integers d_j = 2*i_j.  Complex numbers appear
 only at evaluation time.
 
 Two independent evaluators are kept: Jacobi-Trudi determinants
-(schur_eval, schur_values_box), which serve the Schur route and the tests,
-and the bialternant numerators behind rietsch_eigenvector, the k x k minors
-of the matrix (z_i^c) computed by Laplace expansion.
+(schur_eval, schur_values_box), one masked assembly over a table of complete
+homogeneous polynomials, which serve the Schur route and the tests, and the
+bialternant numerators behind rietsch_eigenvector, the k x k minors of the
+matrix (z_i^c) computed by Laplace expansion.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 
 from .combinatorics import (GrassmannianParams, Partition, enumerate_partitions,
                             k_subsets, lex_rank, ring_states)
-
-TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
 
 SpectralIndex = tuple[int, ...]  # doubled exponents, strictly increasing
 
@@ -55,15 +54,11 @@ def roots_tuple(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
     return np.exp(1j * np.pi * d / params.n)
 
 
-def power_sums(x, m_max: int) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.array([np.sum(x ** j) for j in range(1, m_max + 1)])
-
-
 def homogeneous_table(x, m_max: int) -> np.ndarray:
     """h_0, ..., h_{m_max} evaluated at x via Newton's identity
-    m*h_m = sum_{j=1..m} p_j h_{m-j}."""
-    p = power_sums(x, m_max)
+    m*h_m = sum_{j=1..m} p_j h_{m-j}, with the power sums p_j."""
+    x = np.asarray(x, dtype=complex)
+    p = np.array([np.sum(x ** j) for j in range(1, m_max + 1)])
     h = np.zeros(m_max + 1, dtype=complex)
     h[0] = 1.0
     for m in range(1, m_max + 1):
@@ -71,54 +66,36 @@ def homogeneous_table(x, m_max: int) -> np.ndarray:
     return h
 
 
-def complete_homogeneous(x, m: int) -> complex:
-    """h_m(x); zero for negative m, one for m = 0."""
-    if m < 0:
-        return 0.0 + 0.0j
-    return homogeneous_table(x, m)[m]
+def _jt_exponents(lams: np.ndarray) -> np.ndarray:
+    """Jacobi-Trudi exponents lam_r - r + c over the last axis: partitions
+    of shape (..., k) give (..., k, k); negative entries mark vanishing h's."""
+    k = lams.shape[-1]
+    return lams[..., :, None] - np.arange(k)[:, None] + np.arange(k)
 
 
-def _jacobi_trudi_matrix(lam: Partition, h: np.ndarray) -> np.ndarray:
-    k = len(lam)
-    mat = np.zeros((k, k), dtype=complex)
-    for r in range(k):
-        for c in range(k):
-            e = lam[r] - r + c
-            if e >= 0:
-                mat[r, c] = h[e]
-    return mat
+def _jacobi_trudi(E: np.ndarray, x) -> np.ndarray:
+    """det(h_E) at the point x for a stack of exponent matrices E."""
+    h = homogeneous_table(x, int(E.max()))
+    return np.linalg.det(np.where(E >= 0, h[np.maximum(E, 0)], 0.0))
 
 
 def schur_eval(lam: Partition, x) -> complex:
     """Jacobi-Trudi determinant det(h_{lam_r - r + c}) at the point x."""
-    x = np.asarray(x, dtype=complex)
-    k = len(x)
-    if len(lam) != k:
+    if len(lam) != len(x):
         raise ValueError("partition length must match tuple length")
-    h = homogeneous_table(x, max(lam[0] + k - 1, 0))
-    return complex(np.linalg.det(_jacobi_trudi_matrix(lam, h)))
+    return complex(_jacobi_trudi(_jt_exponents(np.array(lam)), x))
 
 
 @lru_cache(maxsize=64)
 def _box_exponents(params: GrassmannianParams) -> np.ndarray:
-    """Stacked Jacobi-Trudi exponent array over all box partitions,
-    shape (rank, k, k); negative entries mark vanishing h's."""
-    k = params.k
-    lams = enumerate_partitions(params)
-    return np.array([[[lam[r] - r + c for c in range(k)] for r in range(k)]
-                     for lam in lams])
+    """Stacked Jacobi-Trudi exponents over all box partitions, (rank, k, k)."""
+    return _jt_exponents(np.array(enumerate_partitions(params)))
 
 
 def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
-    """Schur values at the point x for every box partition, canonical order.
-
-    One stacked Jacobi-Trudi determinant per partition, with the matrix
-    assembly vectorized and cached per instance.
-    """
-    E = _box_exponents(params)
-    h = homogeneous_table(x, int(E.max()))
-    mats = np.where(E >= 0, h[np.maximum(E, 0)], 0.0)
-    return np.linalg.det(mats)
+    """Schur values at the point x for every box partition, canonical order:
+    one stacked Jacobi-Trudi determinant, exponents cached per instance."""
+    return _jacobi_trudi(_box_exponents(params), x)
 
 
 @lru_cache(maxsize=64)

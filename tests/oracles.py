@@ -2,7 +2,11 @@
 
 These deliberately avoid the algorithms of the package: covers by filtering
 full enumeration, complete homogeneous polynomials by explicit monomial sums,
-determinants by Laplace expansion, strong connectivity by scipy's csgraph.
+determinants by Laplace expansion, strong connectivity by scipy's csgraph,
+rotation closure of a spectrum by greedy nearest-neighbour matching.  The
+per-partition rules (covers, quantum_target, is_valid_partition) are the
+textbook description of the quantum Bruhat graph that the particle-hop
+construction must reproduce.
 """
 
 from itertools import combinations_with_replacement
@@ -12,6 +16,35 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from chevalley.combinatorics import enumerate_partitions
+
+TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
+
+
+def is_valid_partition(lam, params):
+    if len(lam) != params.k:
+        return False
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        return False
+    return 0 <= lam[-1] and lam[0] <= params.box_width
+
+
+def covers(lam, params):
+    """Partitions obtained from lam by adding one box, staying in the box."""
+    out = []
+    for i in range(params.k):
+        ceiling = params.box_width if i == 0 else lam[i - 1]
+        if lam[i] < ceiling:
+            out.append(lam[:i] + (lam[i] + 1,) + lam[i + 1:])
+    return out
+
+
+def quantum_target(lam, params):
+    """The q-edge target: strip the full first row and one box from each
+    remaining row.  Exists only when the first row is full and the last row
+    is nonempty; always returned with exactly k parts (trailing zero)."""
+    if lam[0] != params.box_width or lam[-1] == 0:
+        return None
+    return tuple(x - 1 for x in lam[1:]) + (0,)
 
 
 def covers_by_filter(lam, params):
@@ -82,3 +115,18 @@ def schur_brute(lam, x):
     mat = np.array([[h_monomial(x, lam[r] - r + c) for c in range(k)]
                     for r in range(k)])
     return laplace_det(mat)
+
+
+def multiset_invariant_under(spectrum, factor, tol):
+    """Whether spectrum * factor matches spectrum as a multiset within tol,
+    pairing each rotated value with its nearest unused original: O(rank^2)."""
+    rotated = spectrum * factor
+    used = np.zeros(len(spectrum), dtype=bool)
+    for z in rotated:
+        dist = np.abs(spectrum - z)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] > tol:
+            return False
+        used[j] = True
+    return True

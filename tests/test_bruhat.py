@@ -8,10 +8,9 @@ import scipy.sparse as sp
 
 from chevalley.bruhat import (build_graph, export_graph, incidence_matrix,
                               is_strongly_connected)
-from chevalley.combinatorics import (GrassmannianParams, covers, dual_partition,
-                                     quantum_target)
+from chevalley.combinatorics import GrassmannianParams, dual_partition
 from chevalley.errors import InstanceTooLargeError
-from oracles import strongly_connected_by_csgraph
+from oracles import covers, quantum_target, strongly_connected_by_csgraph
 
 
 def all_params(n_max):
@@ -105,7 +104,7 @@ class TestIncidenceMatrix:
         assert m.sum() == 8
         assert set(m.data) == {1}
         # out-degree of (1,0): two covers, no quantum edge
-        col = g.vertex_index[(1, 0)]
+        col = g.vertices.index((1, 0))
         assert m.toarray()[:, col].sum() == 2
 
     def test_support_equals_edges(self):
@@ -113,8 +112,8 @@ class TestIncidenceMatrix:
             g = build_graph(p)
             m = incidence_matrix(g).tocoo()
             support = {(int(r), int(c)) for r, c in zip(m.row, m.col)}
-            edges = {(g.vertex_index[e.target], g.vertex_index[e.source])
-                     for e in g.edges}
+            index = {lam: i for i, lam in enumerate(g.vertices)}
+            edges = {(index[e.target], index[e.source]) for e in g.edges}
             assert support == edges
 
 

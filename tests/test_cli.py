@@ -69,6 +69,12 @@ class TestSweep:
         lines = [l for l in out.strip().splitlines() if not l.startswith("k ")]
         assert len(lines) == 1 and "holds_equality" in lines[0]
 
+    def test_equality_margins_are_not_negative_zero(self):
+        # k > n/2 rows take the sine at pi*(n-k)/n, so Gr(n-1,n) matches Gr(1,n)
+        code, out, _ = run_cli("sweep", "--n-max", "18")
+        assert code == 0
+        assert "-0.0000000000" not in out
+
     def test_matrix_value_and_rank_cap_skip(self):
         code, out, _ = run_cli("sweep", "--n-max", "5", "--rank-cap", "5",
                                "--format", "json")

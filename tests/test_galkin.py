@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from chevalley.galkin import (check_boundary_equality, check_concavity_monotonic
                               check_k2_inequality, check_limit,
                               check_second_proof_lemma, delta0_cosine_sum,
                               delta0_sine, fk, fk_second_derivative, fk_table,
-                              reduction_domain, verify_galkin, _grid)
+                              verify_galkin, _grid)
 
 RNG = np.random.default_rng(7)
 
@@ -39,6 +40,29 @@ class TestClosedForms:
         # the Dirichlet-kernel identity holds for real arguments too
         assert abs(delta0_cosine_sum(k, x) - delta0_sine(k, x)) \
             < 1e-10 * max(1.0, abs(delta0_sine(k, x)))
+
+    def test_sine_duality_is_exact(self):
+        for n in range(2, 201):
+            for k in range(1, n):
+                assert delta0_sine(n - k, float(n)) == delta0_sine(k, float(n))
+
+    def test_projective_margin_matches_dual(self):
+        # x*sin(pi/x)/sin(pi/x) rounds off x at n = 3, 26, 110, 122, 125 for
+        # Gr(1,n) as well; elsewhere both margins are exactly 0
+        for n in range(2, 201):
+            a = verify_galkin(GrassmannianParams(n - 1, n)).margin
+            assert a == verify_galkin(GrassmannianParams(1, n)).margin
+            assert abs(a) <= 2 * np.spacing(float(n))
+        assert verify_galkin(GrassmannianParams(11, 12)).margin == 0.0
+
+    @pytest.mark.parametrize("n", [12, 30, 101, 198])
+    def test_sine_accurate_for_k_near_n(self, n):
+        # sin near pi loses relative accuracy: Gr(197,198) was 3.2e-14 off
+        with mpmath.workdps(40):
+            for k in range(n // 2, n):
+                want = float(n * mpmath.sinpi(mpmath.mpf(k) / n)
+                             / mpmath.sinpi(mpmath.mpf(1) / n))
+                assert abs(delta0_sine(k, float(n)) - want) <= 1e-15 * want
 
 
 class TestFk:
@@ -98,18 +122,11 @@ class TestVerify:
         for n in range(2, 30):
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
-                q = reduction_domain(p)
+                q = p if p.k <= p.n - p.k else p.dual()
                 assert q.k <= q.n // 2 or q.n - q.k == q.k
                 ra, rb = verify_galkin(p), verify_galkin(q)
                 assert abs(ra.delta0 - rb.delta0) < 1e-10
                 assert ra.bound == rb.bound
-
-
-class TestReductionDomain:
-    def test_examples(self):
-        assert reduction_domain(GrassmannianParams(3, 4)) == GrassmannianParams(1, 4)
-        assert reduction_domain(GrassmannianParams(2, 5)) == GrassmannianParams(2, 5)
-        assert reduction_domain(GrassmannianParams(5, 8)) == GrassmannianParams(3, 8)
 
 
 class TestLemmaChecks:

@@ -6,11 +6,15 @@ import scipy.sparse as sp
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
+from chevalley import spectral
 from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
-                                _power_iteration, c1_operator, eigen_residual,
-                                principal_eigenvalue, property_o_check,
-                                spectral_report, spectrum_closed_form)
+                                _power_iteration, _rotation, c1_operator,
+                                eigen_residual, principal_eigenvalue,
+                                property_o_check, spectral_report,
+                                spectrum_closed_form)
 from chevalley.symfunc import enumerate_indices, roots_tuple
+
+from oracles import multiset_invariant_under
 
 
 def sorted_complex(values):
@@ -167,10 +171,50 @@ class TestEigenResidual:
             assert eigen_residual(I, p, op) < 1e-8
 
 
+def shifted(I, n):
+    """I+: every doubled exponent plus 2, wrapped past 2n-k-1 by -2n."""
+    top = 2 * n - len(I) - 1
+    return tuple(sorted(d + 2 if d + 2 <= top else d + 2 - 2 * n for d in I))
+
+
 class TestPropertyO:
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 4), (2, 5)])
     def test_examples(self, k, n):
         assert property_o_check(GrassmannianParams(k, n)) == (1, True, True)
+
+    def test_rotation_is_the_shift_of_doubled_exponents(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                rot = _rotation(p)
+                assert sorted(rot.tolist()) == list(range(p.rank))
+                indices = enumerate_indices(p)
+                assert [indices[r] for r in rot] == [shifted(I, n) for I in indices]
+
+    def test_rotation_agrees_with_greedy_oracle(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                zeta = np.exp(2j * np.pi / n)
+                want = multiset_invariant_under(spectrum_closed_form(p), zeta, 1e-8)
+                assert property_o_check(p)[1] == want
+
+    def test_moved_eigenvalue_breaks_closure(self, monkeypatch):
+        p = GrassmannianParams(2, 5)
+        spectrum = spectrum_closed_form(p)
+        spectrum[-1] += 1e-6
+        monkeypatch.setattr(spectral, "spectrum_closed_form", lambda params: spectrum)
+        zeta = np.exp(2j * np.pi / 5)
+        assert not multiset_invariant_under(spectrum, zeta, 1e-8)
+        assert property_o_check(p) == (1, False, True)
+
+    def test_duplicated_top_eigenvalue(self, monkeypatch):
+        p = GrassmannianParams(3, 7)
+        spectrum = spectrum_closed_form(p)
+        top = np.argmax(spectrum.real)
+        spectrum[(top + 1) % p.rank] = spectrum[top]
+        monkeypatch.setattr(spectral, "spectrum_closed_form", lambda params: spectrum)
+        assert property_o_check(p)[0] == 2
 
     def test_small_sweep(self):
         for n in range(2, 11):
