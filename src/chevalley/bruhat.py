@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
                             lex_rank, partitions_of, ring_states)
@@ -92,36 +91,63 @@ def build_graph(params: GrassmannianParams,
         2 * source + degree, kind="stable")])
 
 
-def incidence_matrix(graph: QuantumBruhatGraph) -> sp.csr_matrix:
-    """0/1 matrix with A[target, source] = 1 per edge (canonical indexing).
+class IncidenceOperator:
+    """weight * A for the 0/1 matrix with A[t, s] = 1 per edge s -> t.
 
-    Columns are sources so the operator acts on coefficient vectors by left
-    multiplication.
-    """
-    m = len(graph.states)
+    Row d of `sources` (at least one row) holds the d-th in-neighbour of
+    every vertex in the order the edges are given, or `size`, which points at
+    a padded zero.  A product gathers the table and sums its rows in that
+    order: for increasing in-neighbours, the rounding of a CSR product."""
+
+    def __init__(self, source, target, size: int, weight: float = 1):
+        source, target = np.asarray(source, int), np.asarray(target, int)
+        order = np.argsort(target, kind="stable")
+        counts = np.bincount(target, minlength=size)
+        slot = np.arange(len(order)) - (np.cumsum(counts) - counts)[target[order]]
+        self.sources = np.full((max(counts.max(initial=0), 1), size), size)
+        self.sources[slot, target[order]] = source[order]
+        self.shape, self.weight, self.nnz = (size, size), weight, len(source)
+
+    @property
+    def T(self) -> IncidenceOperator:
+        target, level = np.nonzero(self.sources.T < self.shape[0])
+        return IncidenceOperator(target, self.sources[level, target],
+                                 self.shape[0], self.weight)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.shape[0], self.shape[0] + 1))
+        dense[np.arange(self.shape[0]), self.sources] = self.weight
+        return dense[:, :-1]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.shape[0] + 1, np.result_type(v, self.weight))
+        np.multiply(v, self.weight, out=padded[:-1])
+        # rows summed in order from +0, as a CSR product sums each row
+        return padded.take(self.sources).sum(axis=0, initial=0.0)
+
+
+def incidence_matrix(graph: QuantumBruhatGraph,
+                     weight: float = 1) -> IncidenceOperator:
+    """weight * A with A[target, source] = 1 per edge (canonical indexing),
+    in-edges in edge_table order; columns are sources, so A acts on
+    coefficient vectors by left multiplication."""
     source, target, _ = graph.edge_table
-    data = np.ones(len(source), dtype=np.int64)
-    return sp.csr_matrix((data, (target, source)), shape=(m, m))
+    return IncidenceOperator(source, target, len(graph.states), weight)
 
 
-def _reaches_all(pattern: sp.spmatrix) -> bool:
-    """Whether vertex 0 reaches every vertex along pattern's edges, with
-    pattern[t, s] > 0 for an edge s -> t: one sparse product per level."""
-    seen = np.zeros(pattern.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.astype(float)
-    while frontier.any():
-        new = (pattern @ frontier > 0) & ~seen
-        seen |= new
-        frontier = new.astype(float)
-    return bool(seen.all())
-
-
-def is_strongly_connected(matrix: sp.spmatrix) -> bool:
-    """Whether the directed graph of the matrix's nonzeros is strongly connected:
-    vertex 0 reaches every vertex along the edges and against them."""
-    pattern = abs(sp.csr_matrix(matrix))
-    return _reaches_all(pattern) and _reaches_all(pattern.T)
+def is_strongly_connected(operator: IncidenceOperator) -> bool:
+    """Whether vertex 0 reaches every vertex along the edges and against
+    them: one gather of in-neighbours per level, the padding never reached."""
+    for table in (operator.sources, operator.T.sources):
+        size = table.shape[1]
+        seen = np.arange(size + 1) == 0
+        frontier = seen.copy()
+        while frontier.any():
+            frontier[:size] = frontier.take(table).any(axis=0) & ~seen[:size]
+            seen |= frontier
+        if not seen[:size].all():
+            return False
+    return True
 
 
 def _fmt(lam: Partition) -> str:

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import galkin as gk
 from . import spectral as sp_mod
@@ -108,6 +107,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for n in range(2, args.n_max + 1) for k in range(1, n)]
     workers = int(os.environ.get("CHEVALLEY_WORKERS", "1"))
     if workers > 1:
+        # imported only when used: multiprocessing slows every CLI start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:

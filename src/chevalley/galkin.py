@@ -26,11 +26,14 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(floor((hi - lo) / step + 1e-9) + 1)
 
 
-def delta0_sine(k: int, x: float) -> float:
-    """x * sin(pi k / x) / sin(pi / x), real argument, at the angle
-    pi * min(k, x - k) / x: the same sine, never near pi, where float sin loses
-    relative accuracy.  Accurate for x up to ~1e12 (sin(pi/x) underflows)."""
-    return x * sin(pi * np.minimum(k, x - k) / x) / sin(pi / x)
+def delta0_sine(k: int, x: float, out: np.ndarray | None = None) -> float:
+    """x * (sin(pi m / x) / sin(pi / x)) with m = min(k, x - k), real x: no
+    angle near pi, where float sin loses relative accuracy, and exactly x for
+    m = 1.  Accurate for x up to ~1e12 (sin(pi/x) underflows).  An array `out`
+    (k itself, say) takes every elementwise step but one subtraction."""
+    angle = np.multiply(pi, np.minimum(k, x - k, out=out), out=out)
+    s = sin(np.divide(angle, x, out=out), out=out)
+    return np.multiply(x, np.divide(s, sin(pi / x), out=out), out=out)
 
 
 def _cosine_terms(k: int, x: float) -> float:
@@ -92,7 +95,9 @@ def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
     if n < 6:
         raise ValueError("lemma requires n >= 6")
     x = _grid(3.0, n / 2, grid_step)
-    return bool(np.all(delta0_sine(x, n) >= x * (n - x) + 1.0 - TAU_NUM))
+    bound = x * (n - x) + 1.0 - TAU_NUM
+    # delta0 in place over x: fewer fresh pages once glibc trims the heap
+    return bool(np.all(delta0_sine(x, n, out=x) >= bound))
 
 
 def check_k2_inequality(n: int) -> bool:

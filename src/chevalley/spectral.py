@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .bruhat import build_graph, incidence_matrix, is_strongly_connected
+from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
+                     is_strongly_connected)
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, k_subsets,
                             lex_rank)
 from .errors import CrossCheckError, IterationFailureError
@@ -46,10 +46,10 @@ class SpectralReport:
 
 
 def c1_operator(params: GrassmannianParams,
-                rank_cap: int = DEFAULT_RANK_CAP) -> sp.csr_matrix:
+                rank_cap: int = DEFAULT_RANK_CAP) -> IncidenceOperator:
     """n * (incidence matrix), entries in {0, n}, columns act as sources."""
     graph = build_graph(params, rank_cap=rank_cap)
-    return params.n * incidence_matrix(graph).astype(float)
+    return incidence_matrix(graph, float(params.n))
 
 
 def _arnoldi_seed(matrix, tol, max_iter):
@@ -152,13 +152,10 @@ def _power_iteration(matrix, shift, tol, max_iter):
 def principal_eigenvalue(matrix, shift: float,
                          tol: float = DEFAULT_POWER_TOL,
                          max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest real eigenvalue of a nonnegative irreducible matrix.
-
-    Thick-restart Arnoldi seeds shifted power steps on matrix + shift*I,
-    which stop when the Collatz-Wielandt bracket is narrower than
-    tol*max(1, value); the bracket's midpoint is returned.  max_iter caps
-    the operator products of both phases.
-    """
+    """Largest real eigenvalue of a nonnegative irreducible matrix (anything
+    with `shape` and `@` on vectors): the midpoint of _power_iteration's
+    Collatz-Wielandt bracket once narrower than tol*max(1, value); max_iter
+    caps the operator products of its Arnoldi seed and power steps."""
     value, _, _ = _power_iteration(matrix, shift, tol, max_iter)
     return value
 
@@ -170,7 +167,7 @@ def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
 
 
 def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
-                   operator: sp.csr_matrix | None = None) -> float:
+                   operator: IncidenceOperator | None = None) -> float:
     """Relative sup-norm residual of the closed-form eigenpair labeled by I."""
     if operator is None:
         operator = c1_operator(params)

@@ -103,11 +103,12 @@ def _minor_tables(params: GrassmannianParams):
     """Index tables of the Laplace expansion behind rietsch_eigenvector.
 
     Returns (levels, perm, sign, complement).  Level j lists the j-subsets T
-    of range(n) lexicographically as (col, child, alt): col[T, p] = T[p],
-    child[T, p] the rank of T without T[p] one level down, and alt[p] the
-    cofactor sign (-1)^{j-1+p} of expanding along row j-1.  The top level is
-    m = min(k, n-k).  perm takes the box partitions in canonical order to
-    the top-level subsets, and sign is the per-partition factor.
+    of range(n) lexicographically as (col, child, alt, work): col[T, p] =
+    T[p], child[T, p] the rank of T without T[p] one level down, alt[p] the
+    cofactor sign (-1)^{j-1+p} of expanding along row j-1, and work scratch
+    every call overwrites (fresh arrays regrow the heap per call).  The top
+    level is m = min(k, n-k); perm takes the box partitions in canonical
+    order to the top-level subsets, and sign is their factor.
 
     For k <= n/2 partition lam maps to its column set S = {lam_j + k - j}.
     Otherwise (complement) it maps to the complement of S, and sign is
@@ -132,7 +133,8 @@ def _minor_tables(params: GrassmannianParams):
                           dtype=np.intp).reshape(j, j - 1)
         child = lex_rank(subsets[:, others], n)
         alt = (-1.0) ** (j - 1 + np.arange(j))
-        levels.append((subsets, child, alt))
+        work = np.empty((2,) + subsets.shape, dtype=complex)
+        levels.append((subsets, child, alt, work))
     return tuple(levels), perm, sign, m < k
 
 
@@ -155,7 +157,9 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     # z^c with the exponent reduced mod 2n, so large n loses no accuracy
     powers = np.exp(1j * np.pi * (np.outer(d, np.arange(n)) % (2 * n)) / n)
     minors = np.ones(1, dtype=complex)
-    for z, (col, child, alt) in zip(powers, levels):
-        minors = (z[col] * minors[child]) @ alt
+    for z, (col, child, alt, work) in zip(powers, levels):
+        terms = np.take(z, col, out=work[0], mode="clip")  # "raise" buffers out
+        terms *= np.take(minors, child, out=work[1], mode="clip")
+        minors = terms @ alt
     v = sign * minors[perm]
     return np.conj(v / v[0])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chevalley.bruhat import (build_graph, export_graph, incidence_matrix,
-                              is_strongly_connected)
+from chevalley.bruhat import (IncidenceOperator, build_graph, export_graph,
+                              incidence_matrix, is_strongly_connected)
 from chevalley.combinatorics import GrassmannianParams, dual_partition
 from chevalley.errors import InstanceTooLargeError
 from oracles import covers, quantum_target, strongly_connected_by_csgraph
@@ -101,8 +101,8 @@ class TestIncidenceMatrix:
     def test_gr24(self):
         g = build_graph(GrassmannianParams(2, 4))
         m = incidence_matrix(g)
-        assert m.sum() == 8
-        assert set(m.data) == {1}
+        assert m.toarray().sum() == 8
+        assert set(m.toarray()[m.toarray() != 0]) == {1}
         # out-degree of (1,0): two covers, no quantum edge
         col = g.vertices.index((1, 0))
         assert m.toarray()[:, col].sum() == 2
@@ -110,18 +110,46 @@ class TestIncidenceMatrix:
     def test_support_equals_edges(self):
         for p in all_params(7):
             g = build_graph(p)
-            m = incidence_matrix(g).tocoo()
-            support = {(int(r), int(c)) for r, c in zip(m.row, m.col)}
+            rows, cols = np.nonzero(incidence_matrix(g).toarray())
+            support = {(int(r), int(c)) for r, c in zip(rows, cols)}
             index = {lam: i for i, lam in enumerate(g.vertices)}
             edges = {(index[e.target], index[e.source]) for e in g.edges}
             assert support == edges
 
 
+class TestIncidenceOperator:
+    def test_dense_form_matches_edge_table(self):
+        for p in all_params(10):
+            g = build_graph(p)
+            source, target, _ = g.edge_table
+            dense = np.zeros((len(g.states),) * 2)
+            dense[target, source] = 1.0
+            m = incidence_matrix(g)
+            assert np.array_equal(m.toarray(), dense)
+            assert m.shape == dense.shape and m.nnz == len(g.edges)
+            assert np.array_equal(m.T.toarray(), dense.T)
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 9), (5, 10)])
+    def test_products_match_dense(self, k, n):
+        rng = np.random.default_rng(k * 100 + n)
+        m = incidence_matrix(build_graph(GrassmannianParams(k, n)))
+        dense = m.toarray()
+        for v in (rng.standard_normal(m.shape[0]),
+                  rng.standard_normal(m.shape[0])
+                  + 1j * rng.standard_normal(m.shape[0])):
+            assert np.max(np.abs(m @ v - dense @ v)) < 1e-12
+            assert np.max(np.abs(m.T @ v - dense.T @ v)) < 1e-12
+
+    def test_edge_list_keeps_given_order_and_weight(self):
+        m = IncidenceOperator([2, 0, 1], [1, 1, 0], 3, weight=2.5)
+        assert m.sources.tolist() == [[1, 2, 3], [3, 0, 3]]
+        assert m.toarray().tolist() == [[0, 2.5, 0], [2.5, 0, 2.5], [0, 0, 0]]
+        assert (m @ np.array([1.0, 10.0, 100.0])).tolist() == [25.0, 252.5, 0.0]
+
+
 def digraph(m, edges):
-    """Matrix with A[t, s] = 1 for each edge s -> t, the incidence convention."""
-    rows = [t for _, t in edges]
-    cols = [s for s, _ in edges]
-    return sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(m, m))
+    """Operator with A[t, s] = 1 for each edge s -> t, the incidence convention."""
+    return IncidenceOperator([s for s, _ in edges], [t for _, t in edges], m)
 
 
 class TestConnectivity:
@@ -129,7 +157,7 @@ class TestConnectivity:
         for p in all_params(10):
             m = incidence_matrix(build_graph(p))
             assert is_strongly_connected(m)
-            assert strongly_connected_by_csgraph(m)
+            assert strongly_connected_by_csgraph(m.toarray())
 
     def test_directed_path(self):
         assert not is_strongly_connected(digraph(4, [(0, 1), (1, 2), (2, 3)]))
@@ -155,7 +183,8 @@ class TestConnectivity:
             a = sp.random(m, m, density=rng.uniform(0.0, 0.4), random_state=rng,
                           format="csr")
             want = strongly_connected_by_csgraph(a)
-            assert is_strongly_connected(a) == want
+            rows, cols = a.nonzero()
+            assert is_strongly_connected(digraph(m, list(zip(cols, rows)))) == want
             verdicts.add(want)
         assert verdicts == {True, False}
 

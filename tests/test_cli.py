@@ -70,8 +70,10 @@ class TestSweep:
         assert len(lines) == 1 and "holds_equality" in lines[0]
 
     def test_equality_margins_are_not_negative_zero(self):
-        # k > n/2 rows take the sine at pi*(n-k)/n, so Gr(n-1,n) matches Gr(1,n)
-        code, out, _ = run_cli("sweep", "--n-max", "18")
+        # k > n/2 rows take the sine at pi*(n-k)/n, so Gr(n-1,n) matches
+        # Gr(1,n), and both read delta0 == n exactly (n = 110 and 125 once
+        # printed -0.0000000000); rank cap 2 skips the matrix route
+        code, out, _ = run_cli("sweep", "--n-max", "125", "--rank-cap", "2")
         assert code == 0
         assert "-0.0000000000" not in out
 
@@ -212,14 +214,27 @@ class TestInequalities:
         assert out == "" and "--grid-step" in err
 
 
-def test_cli_import_skips_csgraph_and_scipy_linalg():
-    # these pull in ~11 MB and their import time on every CLI start
-    code = ("import sys, chevalley.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:3] in (['scipy', 'sparse', 'csgraph'], "
-            "['scipy', 'sparse', 'linalg']) or m.split('.')[:2] == ['scipy', 'linalg']))")
+def _run_python(code, **env):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_skips_csgraph_and_scipy_linalg():
+    # scipy (and what it pulls in) and the process pool were most of the
+    # time every CLI start took before any work
+    out = _run_python("import sys, chevalley.cli; print(sorted(m for m in "
+                      "sys.modules if m.split('.')[0] == 'scipy' "
+                      "or m == 'concurrent.futures.process'))")
+    assert out.strip() == "[]"
+
+
+def test_sweep_with_two_workers_matches_one():
+    code = ("import sys; from chevalley.cli import main; "
+            "sys.exit(main(['sweep', '--n-max', '8', '--format', 'json']))")
+    one = _run_python(code, CHEVALLEY_WORKERS="1")
+    assert one == _run_python(code, CHEVALLEY_WORKERS="2")
+    assert len(json.loads(one)) == 28

@@ -47,13 +47,21 @@ class TestClosedForms:
                 assert delta0_sine(n - k, float(n)) == delta0_sine(k, float(n))
 
     def test_projective_margin_matches_dual(self):
-        # x*sin(pi/x)/sin(pi/x) rounds off x at n = 3, 26, 110, 122, 125 for
-        # Gr(1,n) as well; elsewhere both margins are exactly 0
+        # x * (sin(pi/x) / sin(pi/x)) is x exactly; x*sin(pi/x)/sin(pi/x)
+        # rounded off x at n = 3, 26, 110, 122, 125
         for n in range(2, 201):
-            a = verify_galkin(GrassmannianParams(n - 1, n)).margin
-            assert a == verify_galkin(GrassmannianParams(1, n)).margin
-            assert abs(a) <= 2 * np.spacing(float(n))
+            assert verify_galkin(GrassmannianParams(n - 1, n)).margin == 0.0
+            assert verify_galkin(GrassmannianParams(1, n)).margin == 0.0
         assert verify_galkin(GrassmannianParams(11, 12)).margin == 0.0
+
+    def test_sine_accurate_for_every_small_instance(self):
+        # measured worst case 4.4e-16 relative (Gr(k,n) and Gr(n-k,n) agree)
+        with mpmath.workdps(40):
+            for n in range(2, 201):
+                for k in range(1, n // 2 + 1):
+                    want = float(n * mpmath.sinpi(mpmath.mpf(k) / n)
+                                 / mpmath.sinpi(mpmath.mpf(1) / n))
+                    assert abs(delta0_sine(k, float(n)) - want) <= 6e-16 * want
 
     @pytest.mark.parametrize("n", [12, 30, 101, 198])
     def test_sine_accurate_for_k_near_n(self, n):

@@ -1,4 +1,5 @@
-"""Library code that only tests call belongs in tests/oracles.py, not src/."""
+"""Library code that only tests call belongs in tests/oracles.py, not src/,
+and the package runs on numpy alone."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,19 @@ def test_every_public_name_is_used_in_src_or_by_acceptance():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in public_definitions(tree) - used)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def test_src_never_imports_scipy():
+    # any import statement counts, also one inside a function
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported in src/: {found}"

@@ -39,6 +39,21 @@ class TestOperator:
         assert np.count_nonzero(m.toarray()) == 15
 
 
+    @pytest.mark.parametrize("k,n", [(6, 12), (2, 40), (5, 11)])
+    def test_products_round_as_csr(self, k, n):
+        # the gather sums each row's in-neighbours in increasing order from
+        # +0, as scipy's CSR product does, so verify outputs stay
+        # byte-identical; -0.0 entries (eigenvectors have them) included
+        rng = np.random.default_rng(n)
+        m = c1_operator(GrassmannianParams(k, n))
+        csr = sp.csr_matrix(m.toarray())
+        size = m.shape[0]
+        for v in (rng.standard_normal(size),
+                  rng.standard_normal(size) + 1j * rng.standard_normal(size)):
+            v[rng.random(size) < 0.5] = -0.0
+            assert (m @ v).tobytes() == (csr @ v).tobytes()
+
+
 class TestPrincipalEigenvalue:
     def test_two_cycle(self):
         m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
