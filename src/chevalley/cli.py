@@ -2,13 +2,14 @@
 
 Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error (including --tol or --grid-step <= 0 and --rank-cap < 2).
-In verify, --shift is the shift of the power steps that certify the matrix
-route's Collatz-Wielandt bracket (default n), and --max-iter caps the
-operator products of its Arnoldi seed and those steps together.  A sweep row
-whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Worker
-count for the sweep is taken from CHEVALLEY_WORKERS (default 1); the
-inequality suite and single-instance commands are always sequential.
+configuration error (including --tol or --grid-step <= 0, --rank-cap < 2, and
+--max-iter or --shift < 0).  In verify, --shift is the shift of the power
+steps that certify the matrix route's Collatz-Wielandt bracket (default n),
+and --max-iter caps the operator products of its Arnoldi seed and those steps
+together.  A sweep row whose matrix route hits that cap gets the verdict
+NOT_CONVERGED.  Worker count for the sweep is taken from CHEVALLEY_WORKERS
+(default 1); the inequality suite and single-instance commands are always
+sequential.
 """
 
 from __future__ import annotations
@@ -134,21 +135,17 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = GrassmannianParams(args.k, args.n)
-    op = sp_mod.c1_operator(params, rank_cap=args.rank_cap)
-    ok = True
-    spectrum = sp_mod.spectrum_closed_form(params)
-    for I, eig in zip(enumerate_indices(params), spectrum):
-        res = sp_mod.eigen_residual(I, params, op)
-        if res >= args.tol:
-            ok = False
+    srep = sp_mod.spectral_report(params, tol=args.tol, rank_cap=args.rank_cap)
+    for I, eig, res in zip(enumerate_indices(params), srep.spectrum,
+                           srep.eigen_residuals):
         halves = "(" + ",".join(f"{d / 2:g}" for d in I) + ")"
         print(f"I={halves}  eigenvalue={eig.real:+.10f}{eig.imag:+.10f}i  "
               f"residual={res:.3e}")
-    top_mult, rot_closed, top_roots = sp_mod.property_o_check(params, args.tol)
-    print(f"property_o: top_multiplicity={top_mult}  "
-          f"rotation_closed={rot_closed}  top_on_roots={top_roots}")
-    if top_mult != 1 or not rot_closed:
-        ok = False
+    print(f"property_o: top_multiplicity={srep.top_multiplicity}  "
+          f"rotation_closed={srep.rotation_closed}  "
+          f"top_on_roots={srep.top_arguments_are_roots}")
+    ok = (srep.top_multiplicity == 1 and srep.rotation_closed
+          and srep.max_eigen_residual < args.tol)
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
@@ -200,6 +197,8 @@ def _checked(cast, valid, need: str):
 
 _positive = _checked(float, lambda v: v > 0, "a value > 0")
 _rank_cap = _checked(int, lambda v: v >= 2, "a rank cap >= 2")
+_max_iter = _checked(int, lambda v: v >= 0, "a cap >= 0")
+_shift = _checked(float, lambda v: v >= 0, "a shift >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="four-route delta0 + Galkin bound check")
     common(p)
-    p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=sp_mod.DEFAULT_MAX_ITER)
+    p.add_argument("--shift", type=_shift, default=None)
+    p.add_argument("--max-iter", type=_max_iter, default=sp_mod.DEFAULT_MAX_ITER)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=cmd_verify)
 

@@ -96,14 +96,13 @@ def partitions_of(states: np.ndarray) -> list[Partition]:
     return list(map(tuple, lams.tolist()))
 
 
-def enumerate_partitions(params: GrassmannianParams,
-                         rank_cap: int = DEFAULT_RANK_CAP) -> list[Partition]:
+def enumerate_partitions(params: GrassmannianParams) -> list[Partition]:
     """All partitions in the k x (n-k) box in canonical order.
 
     Canonical order: increasing weight, then lexicographically descending
     within a weight class.  Length is always binomial(n, k).
     """
-    return partitions_of(ring_states(params, rank_cap)[0])
+    return partitions_of(ring_states(params)[0])
 
 
 def dual_partition(lam: Partition, params: GrassmannianParams) -> Partition:

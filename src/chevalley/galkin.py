@@ -71,13 +71,13 @@ class GalkinReport:
     consistent: bool  # equality flag agrees with the projective-space test
 
 
-def verify_galkin(params: GrassmannianParams, tol: float = TAU_NUM) -> GalkinReport:
-    """Check delta0 >= dim + 1 with relative equality detection."""
+def verify_galkin(params: GrassmannianParams) -> GalkinReport:
+    """Check delta0 >= dim + 1, equality detected to TAU_NUM relative."""
     k, n = params.k, params.n
     delta0 = float(delta0_sine(k, float(n)))
     bound = float(k * (n - k) + 1)
     margin = delta0 - bound
-    eq_tol = tol * max(1.0, bound)
+    eq_tol = TAU_NUM * max(1.0, bound)
     equality = abs(margin) <= eq_tol
     if margin < -eq_tol:
         verdict = "VIOLATION"

@@ -40,6 +40,7 @@ class SpectralReport:
     top_multiplicity: int
     rotation_closed: bool
     top_arguments_are_roots: bool
+    eigen_residuals: np.ndarray  # per index, in enumerate_indices order
     max_eigen_residual: float
     power_iterations: int  # operator products, Arnoldi and power steps
     matrix_bracket: tuple[float, float]  # Collatz-Wielandt [lo, hi] on delta0
@@ -149,15 +150,13 @@ def _power_iteration(matrix, shift, tol, max_iter):
         last_value=0.5 * (lo + hi), last_vector=v, iterations=max_iter)
 
 
-def principal_eigenvalue(matrix, shift: float,
-                         tol: float = DEFAULT_POWER_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER) -> float:
+def principal_eigenvalue(matrix, shift: float) -> float:
     """Largest real eigenvalue of a nonnegative irreducible matrix (anything
     with `shape` and `@` on vectors): the midpoint of _power_iteration's
-    Collatz-Wielandt bracket once narrower than tol*max(1, value); max_iter
-    caps the operator products of its Arnoldi seed and power steps."""
-    value, _, _ = _power_iteration(matrix, shift, tol, max_iter)
-    return value
+    Collatz-Wielandt bracket once narrower than DEFAULT_POWER_TOL relative,
+    within DEFAULT_MAX_ITER operator products."""
+    return _power_iteration(matrix, shift, DEFAULT_POWER_TOL,
+                            DEFAULT_MAX_ITER)[0]
 
 
 def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
@@ -167,10 +166,9 @@ def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
 
 
 def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
-                   operator: IncidenceOperator | None = None) -> float:
-    """Relative sup-norm residual of the closed-form eigenpair labeled by I."""
-    if operator is None:
-        operator = c1_operator(params)
+                   operator: IncidenceOperator) -> float:
+    """Relative sup-norm residual of the closed-form eigenpair labeled by I
+    against operator, which is c1_operator(params)."""
     v = rietsch_eigenvector(I, params)
     eig = params.n * np.sum(roots_tuple(I, params))
     r = operator @ v - eig * v
@@ -211,7 +209,6 @@ def property_o_check(params: GrassmannianParams,
 
 def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                     shift: float | None = None,
-                    power_tol: float = DEFAULT_POWER_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
                     rank_cap: int = DEFAULT_RANK_CAP) -> SpectralReport:
     """Compute delta0 by all four routes and cross-check them pairwise."""
@@ -223,8 +220,8 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
             "Perron-Frobenius reasoning does not apply")
     if shift is None:
         shift = float(n)
-    d_matrix, iterations, bracket = _power_iteration(matrix, shift, power_tol,
-                                                     max_iter)
+    d_matrix, iterations, bracket = _power_iteration(
+        matrix, shift, DEFAULT_POWER_TOL, max_iter)
 
     one_box = (1,) + (0,) * (k - 1)
     s1 = schur_eval(one_box, roots_tuple(central_index(params), params))
@@ -242,8 +239,8 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                 raise CrossCheckError(
                     f"delta0 routes disagree: {a}={routes[a]!r} vs {b}={routes[b]!r}")
 
-    max_residual = max(eigen_residual(I, params, matrix)
-                       for I in enumerate_indices(params))
+    residuals = np.array([eigen_residual(I, params, matrix)
+                          for I in enumerate_indices(params)])
     top_mult, rot_closed, top_roots = property_o_check(params, tol)
     return SpectralReport(
         params=params,
@@ -255,7 +252,8 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
         top_multiplicity=top_mult,
         rotation_closed=rot_closed,
         top_arguments_are_roots=top_roots,
-        max_eigen_residual=max_residual,
+        eigen_residuals=residuals,
+        max_eigen_residual=float(residuals.max()),
         power_iterations=iterations,
         matrix_bracket=bracket,
     )

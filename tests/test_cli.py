@@ -6,9 +6,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from chevalley import spectral
 from chevalley.cli import main
+from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
+from chevalley.galkin import delta0_sine
+from chevalley.symfunc import enumerate_indices
 
 
 def run_cli(*argv):
@@ -52,6 +57,20 @@ class TestVerify:
         code, _, err = run_cli("verify", "--k", "2", "--n", "4", "--tol", "0")
         assert code == 2
         assert "--tol" in err
+
+    @pytest.mark.parametrize("flag,value", [("--max-iter", "-3"),
+                                            ("--shift", "-100")])
+    def test_negative_cap_or_shift_is_usage_error(self, flag, value):
+        # a negative shift can make v <- Av + shift*v leave v > 0, where the
+        # Collatz-Wielandt bracket no longer holds
+        code, out, err = run_cli("verify", "--k", "2", "--n", "6", flag, value)
+        assert code == 2
+        assert out == "" and flag in err
+
+    def test_zero_cap_is_a_failed_check(self):
+        code, _, err = run_cli("verify", "--k", "2", "--n", "6", "--max-iter", "0")
+        assert code == 1
+        assert "no convergence after 0 operator products" in err
 
 
 class TestSweep:
@@ -165,6 +184,33 @@ class TestSpectrum:
         code, out, _ = run_cli("spectrum", "--k", "1", "--n", "3")
         assert code == 0
         assert "+3.0000000000+0.0000000000i" in out
+
+    def test_gr37_columns_come_from_the_report(self):
+        p = GrassmannianParams(3, 7)
+        code, out, _ = run_cli("spectrum", "--k", "3", "--n", "7")
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith("I=")]
+        op = spectral.c1_operator(p)
+        spectrum = spectral.spectrum_closed_form(p)
+        assert len(lines) == len(spectrum) == p.rank
+        for line, I, eig in zip(lines, enumerate_indices(p), spectrum):
+            _, eigenvalue, residual = line.split("  ")
+            assert eigenvalue == f"eigenvalue={eig.real:+.10f}{eig.imag:+.10f}i"
+            assert residual == f"residual={spectral.eigen_residual(I, p, op):.3e}"
+        printed = [l.split("residual=")[1] for l in lines]
+        code, out, _ = run_cli("verify", "--k", "3", "--n", "7", "--format", "json")
+        assert code == 0
+        assert (max(printed, key=float)
+                == f"{json.loads(out)['max_eigen_residual']:.3e}")
+
+    def test_routes_disagree(self, monkeypatch):
+        wrong = delta0_sine(3, 7.0) * (1 + 1e-6)
+        monkeypatch.setattr(spectral, "_power_iteration",
+                            lambda matrix, shift, tol, max_iter:
+                            (wrong, 1, (wrong, wrong)))
+        code, out, err = run_cli("spectrum", "--k", "3", "--n", "7")
+        assert code == 1
+        assert "routes disagree" in err
 
 
 class TestFk:

@@ -51,8 +51,9 @@ class TestEnumerate:
         assert all(is_valid_partition(lam, p) for lam in parts)
 
     def test_rank_cap(self):
+        # rank C(30,10) = 30 045 015 is above DEFAULT_RANK_CAP
         with pytest.raises(InstanceTooLargeError):
-            enumerate_partitions(GrassmannianParams(10, 30), rank_cap=1000)
+            enumerate_partitions(GrassmannianParams(10, 30))
 
 
 class TestLexRank:

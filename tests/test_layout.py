@@ -1,5 +1,6 @@
 """Library code that only tests call belongs in tests/oracles.py, not src/,
-and the package runs on numpy alone."""
+a default that no caller changes is a constant, and the package runs on numpy
+alone."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,60 @@ def test_src_never_imports_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported in src/: {found}"
+
+
+def defaulted_parameters(tree):
+    """(callable name, parameter, position or None) for each parameter with a
+    default on a public top-level function or public class's __init__."""
+    found = []
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            func, skip = node, 0
+        elif isinstance(node, ast.ClassDef):
+            inits = [f for f in node.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            if not inits:
+                continue
+            func, skip = inits[0], 1  # self is not passed at the call
+        else:
+            continue
+        a = func.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)  # defaults fill the tail
+        found += [(node.name, arg.arg, i - skip)
+                  for i, arg in enumerate(positional) if i >= first]
+        found += [(node.name, arg.arg, None)
+                  for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default no caller outside the unit tests overrides is a constant
+    callers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py", ROOT / "bench" / "child.py"]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    params = [p for path in sorted(PACKAGE.glob("*.py"))
+              for p in defaulted_parameters(ast.parse(path.read_text()))]
+    assert params, "the scan found no defaulted parameters"
+
+    def is_set(param, position, call):
+        # **kwargs and *args may carry any parameter
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return position is not None and position < len(call.args)
+
+    unset = [f"{name}({param}=)" for name, param, position in params
+             if not any(is_set(param, position, call)
+                        for call in calls.get(name, []))]
+    assert not unset, f"defaults that no caller sets: {unset}"
