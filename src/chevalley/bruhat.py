@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
-                            lex_rank, partitions_of, ring_states)
+                            lex_rank, partitions_of, ring_rotation, ring_states)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,11 @@ class IncidenceOperator:
     Row d of `sources` (at least one row) holds the d-th in-neighbour of
     every vertex in the order the edges are given, or `size`, which points at
     a padded zero.  A product gathers the table and sums its rows in that
-    order: for increasing in-neighbours, the rounding of a CSR product."""
+    order: for increasing in-neighbours, the rounding of a CSR product.
+    `fold(orbit)` attaches `orbit` (vertex -> orbit index) and `quotient`,
+    the operator on each orbit's first vertex with the table
+    orbit[sources[:, first]], None until then.  For the orbits of a graph
+    automorphism, (quotient @ u)[orbit] = self @ u[orbit]: eigenvectors lift."""
 
     def __init__(self, source, target, size: int, weight: float = 1):
         source, target = np.asarray(source, int), np.asarray(target, int)
@@ -107,6 +111,7 @@ class IncidenceOperator:
         self.sources = np.full((max(counts.max(initial=0), 1), size), size)
         self.sources[slot, target[order]] = source[order]
         self.shape, self.weight, self.nnz = (size, size), weight, len(source)
+        self.orbit = self.quotient = None
 
     @property
     def T(self) -> IncidenceOperator:
@@ -116,7 +121,7 @@ class IncidenceOperator:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.shape[0], self.shape[0] + 1))
-        dense[np.arange(self.shape[0]), self.sources] = self.weight
+        np.add.at(dense, (np.arange(self.shape[0]), self.sources), self.weight)
         return dense[:, :-1]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -125,14 +130,28 @@ class IncidenceOperator:
         # rows summed in order from +0, as a CSR product sums each row
         return padded.take(self.sources).sum(axis=0, initial=0.0)
 
+    def fold(self, orbit: np.ndarray) -> IncidenceOperator:
+        first = np.unique(orbit, return_index=True)[1]
+        level, col = np.nonzero(self.sources[:, first] < self.shape[0])
+        self.orbit, self.quotient = orbit, IncidenceOperator(
+            orbit[self.sources[level, first[col]]], col, len(first), self.weight)
+        return self
+
 
 def incidence_matrix(graph: QuantumBruhatGraph,
                      weight: float = 1) -> IncidenceOperator:
     """weight * A with A[target, source] = 1 per edge (canonical indexing),
     in-edges in edge_table order; columns are sources, so A acts on
-    coefficient vectors by left multiplication."""
+    coefficient vectors by left multiplication.  Folded by the orbits of ring
+    rotation, which maps hops to hops, each labelled by its least vertex."""
     source, target, _ = graph.edge_table
-    return IncidenceOperator(source, target, len(graph.states), weight)
+    states, n = graph.states, graph.params.n
+    step = np.argsort(lex_rank(states, n))[lex_rank(ring_rotation(states, n), n)]
+    label = np.arange(len(states))
+    for _ in range((n - 1).bit_length()):  # pointer jumping; orbit sizes divide n
+        label, step = np.minimum(label, label[step]), step[step]
+    return IncidenceOperator(source, target, len(states), weight).fold(
+        np.unique(label, return_inverse=True)[1])
 
 
 def is_strongly_connected(operator: IncidenceOperator) -> bool:

@@ -2,10 +2,11 @@
 
 Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error (including --tol or --grid-step <= 0, --rank-cap < 2, and
---max-iter or --shift < 0).  In verify, --shift is the shift of the power
-steps that certify the matrix route's Collatz-Wielandt bracket (default n),
-and --max-iter caps the operator products of its Arnoldi seed and those steps
+configuration error (including --tol outside (0, 1), a --grid-step that is not
+finite and > 0, --rank-cap < 2, and --max-iter or --shift < 0).  In verify,
+--shift is the shift of the power steps that certify the matrix route's
+Collatz-Wielandt bracket (default n), and --max-iter caps the operator
+products of its Arnoldi seed (on the rotation quotient) and those steps
 together.  A sweep row whose matrix route hits that cap gets the verdict
 NOT_CONVERGED.  Worker count for the sweep is taken from CHEVALLEY_WORKERS
 (default 1); the inequality suite and single-instance commands are always
@@ -195,7 +196,8 @@ def _checked(cast, valid, need: str):
     return parse
 
 
-_positive = _checked(float, lambda v: v > 0, "a value > 0")
+_tol = _checked(float, lambda v: 0 < v < 1, "a tolerance in (0, 1)")
+_grid_step = _checked(float, lambda v: 0 < v < float("inf"), "a finite step > 0")
 _rank_cap = _checked(int, lambda v: v >= 2, "a rank cap >= 2")
 _max_iter = _checked(int, lambda v: v >= 0, "a cap >= 0")
 _shift = _checked(float, lambda v: v >= 0, "a shift >= 0")
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
         if need_n:
             p.add_argument("--n", type=int, required=True)
-        p.add_argument("--tol", type=_positive, default=1e-8)
+        p.add_argument("--tol", type=_tol, default=1e-8)
         p.add_argument("--rank-cap", type=_rank_cap, default=DEFAULT_RANK_CAP)
 
     p = sub.add_parser("verify", help="four-route delta0 + Galkin bound check")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inequalities", help="full grid-sampled lemma suite")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--grid-step", type=_positive, default=0.01)
+    p.add_argument("--grid-step", type=_grid_step, default=0.01)
     p.set_defaults(run=cmd_inequalities)
     return parser
 

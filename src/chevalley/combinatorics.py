@@ -75,6 +75,12 @@ def k_subsets(n: int, r: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=comb(n, r) * r).reshape(-1, r)
 
 
+def ring_rotation(sites: np.ndarray, n: int) -> np.ndarray:
+    """Every particle one site on, kept sorted: a roll when the top one wraps."""
+    on = (sites + 1) % n
+    return np.where(on[..., -1:] == 0, np.roll(on, 1, axis=-1), on)
+
+
 def ring_states(params: GrassmannianParams,
                 rank_cap: int = DEFAULT_RANK_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Each box partition lam as k particles on a ring of n sites, at the

@@ -1,11 +1,12 @@
 """The divisor-class operator at q=1, its spectrum and consistency checks.
 
 The operator is n times the quantum Bruhat incidence matrix.  Its principal
-eigenvalue is seeded by thick-restart Arnoldi and certified by shifted power
-steps that stop on the width of the Collatz-Wielandt bracket (the unshifted
-operator has n eigenvalues of equal top modulus, so the steps need a positive
-shift), the full spectrum comes from the closed form n*S_(1) evaluated over
-the index set, and every closed-form eigenpair is validated by residual.
+eigenvalue is seeded by thick-restart Arnoldi on the ring-rotation quotient
+and certified by shifted power steps on the full operator (a positive shift:
+n eigenvalues share the top modulus) that stop on the width of the
+Collatz-Wielandt bracket, which holds rho for any v > 0, so no seed can move
+it.  The full spectrum is the closed form n*S_(1) over the index set, and
+every closed-form eigenpair is validated by residual.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
                      is_strongly_connected)
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, k_subsets,
-                            lex_rank)
+                            lex_rank, ring_rotation)
 from .errors import CrossCheckError, IterationFailureError
 from . import galkin
 from .symfunc import (SpectralIndex, central_index, enumerate_indices,
@@ -63,7 +64,7 @@ def _arnoldi_seed(matrix, tol, max_iter):
     when the rightmost Ritz residual is below tol/100 relative, when the basis
     spans an invariant subspace (always, by rank <= KRYLOV_BASIS), or at
     max_iter products.  The vector is only a start: the certifying power
-    steps make the value.
+    steps make the value; _power_iteration runs it on the rotation quotient.
     """
     size = matrix.shape[0]
     m = min(KRYLOV_BASIS, size)
@@ -122,13 +123,15 @@ def _arnoldi_seed(matrix, tol, max_iter):
 def _power_iteration(matrix, shift, tol, max_iter):
     """(value, operator products, Collatz-Wielandt bracket) of the Perron root.
 
-    From the Arnoldi seed, v = |Re(Ritz vector)| takes shifted power steps
+    From the Arnoldi seed, v = |Re(Ritz vector)| (of matrix.quotient, lifted
+    through matrix.orbit, if matrix has one) takes shifted power steps
     v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and v > 0,
     min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every product; the
     midpoint is returned once the width is below tol*max(1, midpoint).
     """
-    v, products = _arnoldi_seed(matrix, tol, max_iter)
-    v = np.abs(v)
+    quotient = getattr(matrix, "quotient", None)
+    v, products = _arnoldi_seed(quotient or matrix, tol, max_iter)
+    v = np.abs(v if quotient is None else v[matrix.orbit])
     lo = hi = np.nan
     while products < max_iter:
         norm = np.linalg.norm(v)
@@ -179,7 +182,7 @@ def _rotation(params: GrassmannianParams) -> np.ndarray:
     """Position of I+ for each index I: every particle of I (its pool positions,
     listed in the lex order of k_subsets) moves one site on around the ring."""
     n = params.n
-    return lex_rank(np.sort((k_subsets(n, params.k) + 1) % n, axis=1), n)
+    return lex_rank(ring_rotation(k_subsets(n, params.k), n), n)
 
 
 def property_o_check(params: GrassmannianParams,

@@ -58,6 +58,15 @@ class TestVerify:
         assert code == 2
         assert "--tol" in err
 
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("value", ["inf", "1e300", "1", "nan"])
+    def test_tol_of_one_or_more_is_usage_error(self, command, value):
+        # with --tol >= 1 every route comparison and the residual gate pass
+        # whatever the routes give
+        code, out, err = run_cli(command, "--k", "4", "--n", "10", "--tol", value)
+        assert code == 2
+        assert out == "" and "--tol" in err
+
     @pytest.mark.parametrize("flag,value", [("--max-iter", "-3"),
                                             ("--shift", "-100")])
     def test_negative_cap_or_shift_is_usage_error(self, flag, value):
@@ -256,6 +265,14 @@ class TestInequalities:
 
     def test_zero_grid_step(self):
         code, out, err = run_cli("inequalities", "--n-max", "8", "--grid-step", "0")
+        assert code == 2
+        assert out == "" and "--grid-step" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_grid_step(self, value):
+        # inf once ended as "FAIL second_proof_lemma(n=6)", exit 1
+        code, out, err = run_cli("inequalities", "--n-max", "8",
+                                 "--grid-step", value)
         assert code == 2
         assert out == "" and "--grid-step" in err
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.combinatorics import (GrassmannianParams, dual_partition,
-                                     enumerate_partitions, k_subsets, lex_rank)
+                                     enumerate_partitions, k_subsets, lex_rank,
+                                     ring_rotation)
 from chevalley.errors import InstanceTooLargeError
 
 from oracles import covers, covers_by_filter, is_valid_partition, quantum_target
@@ -64,6 +65,15 @@ class TestLexRank:
         assert len(rows) == comb(n, r)
         assert list(map(tuple, rows.tolist())) == list(combinations(range(n), r))
         assert np.array_equal(lex_rank(rows, n), np.arange(comb(n, r)))
+
+
+class TestRingRotation:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_particle_one_site_on_sorted(self, n):
+        for r in range(1, n):
+            rows = k_subsets(n, r)
+            want = [sorted((s + 1) % n for s in row) for row in rows.tolist()]
+            assert ring_rotation(rows, n).tolist() == want
 
 
 class TestCovers:

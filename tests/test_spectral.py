@@ -93,6 +93,31 @@ class TestPrincipalEigenvalue:
         assert abs(value - delta0_sine(k, float(n))) < 1e-13 * value
         assert lo <= value <= hi
 
+    def test_seed_runs_on_the_quotient(self):
+        # quotient products count toward the total and toward max_iter
+        sizes = []
+
+        class Counting:
+            def __init__(self, op):
+                self.op, self.shape = op, op.shape
+
+            def __matmul__(self, v):
+                sizes.append(len(v))
+                return self.op @ v
+
+        m = c1_operator(GrassmannianParams(2, 40))
+        m.quotient = Counting(m.quotient)
+        _, products, _ = _power_iteration(m, 40.0, DEFAULT_POWER_TOL,
+                                          DEFAULT_MAX_ITER)
+        assert sizes and set(sizes) == {m.quotient.shape[0]}
+        assert m.quotient.shape[0] <= m.shape[0] // 20 + 1
+        assert len(sizes) < products
+        sizes.clear()
+        with pytest.raises(IterationFailureError) as info:
+            _power_iteration(m, 40.0, DEFAULT_POWER_TOL, 5)
+        assert sizes == [m.quotient.shape[0]] * 5
+        assert info.value.iterations == 5
+
     def test_nonconvergence_raises(self):
         m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(IterationFailureError) as info:
@@ -110,7 +135,13 @@ def bracket_instances():
     for n in range(2, 13):
         for k in range(1, n):
             yield k, n
-    yield from [(2, 40), (2, 100), (2, 161), (9, 18)]
+    yield from [(2, 40), (2, 100), (2, 140), (2, 161), (9, 18)]
+
+
+def sine_form(k, n):
+    with mpmath.workdps(30):
+        return float(n * mpmath.sinpi(mpmath.mpf(k) / n)
+                     / mpmath.sinpi(mpmath.mpf(1) / n))
 
 
 class TestCollatzWielandtBracket:
@@ -120,13 +151,36 @@ class TestCollatzWielandtBracket:
             c1_operator(GrassmannianParams(k, n)), float(n),
             DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
         # the float sine form is several ulps off at k = n-1
-        with mpmath.workdps(30):
-            want = float(n * mpmath.sinpi(mpmath.mpf(k) / n)
-                         / mpmath.sinpi(mpmath.mpf(1) / n))
+        want = sine_form(k, n)
         ulps = 4 * np.spacing(want)
         assert hi - lo < 1e-12 * max(1.0, value)
         assert lo - ulps <= want <= hi + ulps
         assert value == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("k,n", [(2, 7), (3, 8)])
+    @pytest.mark.parametrize("wrong", ["one_orbit", "two_swapped"])
+    def test_wrong_orbits_cannot_move_the_bracket(self, k, n, wrong):
+        # the seed runs on the quotient, the bracket on the full operator: a
+        # wrong orbit map may cost products, never a wrong certified value
+        m = c1_operator(GrassmannianParams(k, n))
+        orbit = m.orbit.copy()
+        if wrong == "one_orbit":
+            orbit[:] = 0
+        else:
+            other = int(np.flatnonzero(orbit != orbit[0])[0])
+            orbit[0], orbit[other] = orbit[other], orbit[0]
+        m.fold(orbit)
+        assert m.quotient.shape[0] == (1 if wrong == "one_orbit"
+                                       else len(np.unique(orbit)))
+        try:
+            value, _, (lo, hi) = _power_iteration(
+                m, float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        except IterationFailureError:
+            return
+        want = sine_form(k, n)
+        ulps = 4 * np.spacing(want)
+        assert hi - lo < 1e-12 * max(1.0, value)
+        assert lo - ulps <= want <= hi + ulps
 
     def test_report_carries_bracket(self):
         r = spectral_report(GrassmannianParams(3, 7))
