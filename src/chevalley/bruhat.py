@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
-                            lex_rank, partitions_of, ring_rotation, ring_states)
+                            banded_binomials, lex_rank, lex_rotation,
+                            partitions_of, ring_states)
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,13 @@ class QuantumEdge:
 
 @dataclass(eq=False)
 class QuantumBruhatGraph:
-    """Vertex i sits at the sites states[i]; column e of edge_table holds
-    (source, target, degree) of edge e in export order.  Partition tuples and
-    QuantumEdges are made only when read."""
+    """Vertex i sits at the sites states[i], of lex rank ranks[i]; column e
+    of edge_table holds (source, target, degree) of edge e in export order.
+    Partition tuples and QuantumEdges are made only when read."""
 
     params: GrassmannianParams
     states: np.ndarray
+    ranks: np.ndarray
     edge_table: np.ndarray
 
     @cached_property
@@ -62,33 +64,39 @@ class _Edges:
             yield QuantumEdge(v[s], v[t], d)
 
 
+def _vertex_of(ranks: np.ndarray) -> np.ndarray:
+    """Canonical index of each lex rank: the inverse permutation."""
+    vertex = np.empty_like(ranks)
+    vertex[ranks] = np.arange(len(ranks))
+    return vertex
+
+
 def build_graph(params: GrassmannianParams,
                 rank_cap: int = DEFAULT_RANK_CAP) -> QuantumBruhatGraph:
-    """All particle hops, one vectorized pass per particle.
+    """All particle hops, from one (rank, k+1) table of the moves out of
+    each vertex: column c < k hops particle k-1-c, the top one first, so the
+    cover targets come in canonical order; column k wraps the top one to 0.
 
     Edges are emitted in deterministic order: sources in canonical vertex
     order, cover targets by canonical index, then the degree-1 edge.
     """
     k, n = params.k, params.n
     states, ranks = ring_states(params, rank_cap)
-    # the site after the top particle's is the bottom one's, a turn further
-    ahead = np.column_stack([states[:, 1:], states[:, 0] + n])
-    sources, targets, degrees = [], [], []
-    # Top particle first: its cover adds a box to an earlier row, so the
-    # target is lex-larger, earlier in canonical order.
-    for p in reversed(range(k)):
-        movers = np.flatnonzero(states[:, p] + 1 < ahead[:, p])
-        hopped = states[movers]
-        degrees.append(hopped[:, p] == n - 1)
-        hopped[:, p] = (hopped[:, p] + 1) % n
-        if p == k - 1:
-            hopped.sort(axis=1)  # a wrap to site 0 makes the new bottom
-        sources.append(movers)
-        targets.append(lex_rank(hopped, n))
-    source, degree = np.concatenate(sources), np.concatenate(degrees)
-    table = np.array([source, np.argsort(ranks)[np.concatenate(targets)], degree])
-    return QuantumBruhatGraph(params, states, table[:, np.argsort(
-        2 * source + degree, kind="stable")])
+    hops = np.empty((len(states), k + 1), dtype=bool)
+    hops[:, k - 1::-1] = np.diff(states, axis=1, append=states[:, :1] + n) > 1
+    hops[:, k] = hops[:, 0] & (states[:, -1] == n - 1)
+    hops[:, 0] &= ~hops[:, k]
+    # particle p hopping on from site a adds C(n-2-a, k-1-p) to the lex rank,
+    # inside the band as a >= p (a = n-1 reads row -1, never used)
+    lex = np.empty(hops.shape, dtype=ranks.dtype)
+    lex[:, k - 1::-1] = ranks[:, None] + banded_binomials(n, k)[
+        n - 2 - states, k - 1 - np.arange(k)]
+    wrapped = np.roll(states[hops[:, k]], 1, axis=1)
+    wrapped[:, 0] = 0  # re-sorted, so ranked in full
+    lex[hops[:, k], k] = lex_rank(wrapped, n)
+    source, column = np.nonzero(hops)
+    table = np.array([source, _vertex_of(ranks)[lex[hops]], column == k])
+    return QuantumBruhatGraph(params, states, ranks, table)
 
 
 class IncidenceOperator:
@@ -98,8 +106,8 @@ class IncidenceOperator:
     every vertex in the order the edges are given, or `size`, which points at
     a padded zero.  A product gathers the table and sums its rows in that
     order: for increasing in-neighbours, the rounding of a CSR product.
-    `fold(orbit)` attaches `orbit` (vertex -> orbit index) and `quotient`,
-    the operator on each orbit's first vertex with the table
+    `fold(orbit)` attaches `orbit` (vertex -> orbit index 0, 1, ...) and
+    `quotient`, the operator on each orbit's first vertex with the table
     orbit[sources[:, first]], None until then.  For the orbits of a graph
     automorphism, (quotient @ u)[orbit] = self @ u[orbit]: eigenvectors lift."""
 
@@ -131,7 +139,8 @@ class IncidenceOperator:
         return padded.take(self.sources).sum(axis=0, initial=0.0)
 
     def fold(self, orbit: np.ndarray) -> IncidenceOperator:
-        first = np.unique(orbit, return_index=True)[1]
+        first = np.full(orbit.max() + 1, len(orbit))
+        np.minimum.at(first, orbit, np.arange(len(orbit)))
         level, col = np.nonzero(self.sources[:, first] < self.shape[0])
         self.orbit, self.quotient = orbit, IncidenceOperator(
             orbit[self.sources[level, first[col]]], col, len(first), self.weight)
@@ -145,13 +154,15 @@ def incidence_matrix(graph: QuantumBruhatGraph,
     coefficient vectors by left multiplication.  Folded by the orbits of ring
     rotation, which maps hops to hops, each labelled by its least vertex."""
     source, target, _ = graph.edge_table
-    states, n = graph.states, graph.params.n
-    step = np.argsort(lex_rank(states, n))[lex_rank(ring_rotation(states, n), n)]
-    label = np.arange(len(states))
+    ranks, size, n = graph.ranks, len(graph.states), graph.params.n
+    holds_last = np.zeros(size, dtype=bool)
+    holds_last[ranks] = graph.states[:, -1] == n - 1
+    step = _vertex_of(ranks)[lex_rotation(holds_last)[ranks]]
+    label = np.arange(size)
     for _ in range((n - 1).bit_length()):  # pointer jumping; orbit sizes divide n
         label, step = np.minimum(label, label[step]), step[step]
-    return IncidenceOperator(source, target, len(states), weight).fold(
-        np.unique(label, return_inverse=True)[1])
+    return IncidenceOperator(source, target, size, weight).fold(
+        (np.cumsum(label == np.arange(size)) - 1)[label])
 
 
 def is_strongly_connected(operator: IncidenceOperator) -> bool:

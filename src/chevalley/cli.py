@@ -2,8 +2,9 @@
 
 Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error (including --tol outside (0, 1), a --grid-step that is not
-finite and > 0, --rank-cap < 2, and --max-iter or --shift < 0).  In verify,
+configuration error (including --tol outside (0, 1), a --grid-step, or an fk
+--x-min or --step, that is not finite and > 0, a non-finite fk --x-max, fk
+--k < 1, --rank-cap < 2, and --max-iter or --shift < 0).  In verify,
 --shift is the shift of the power steps that certify the matrix route's
 Collatz-Wielandt bracket (default n), and --max-iter caps the operator
 products of its Arnoldi seed (on the rotation quotient) and those steps
@@ -151,8 +152,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_fk(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ValueError("need k >= 1")
     rows = gk.fk_table(args.k, args.x_min, args.x_max, args.step)
     print("x,F")
     for x, f in rows:
@@ -197,7 +196,9 @@ def _checked(cast, valid, need: str):
 
 
 _tol = _checked(float, lambda v: 0 < v < 1, "a tolerance in (0, 1)")
-_grid_step = _checked(float, lambda v: 0 < v < float("inf"), "a finite step > 0")
+_finite = _checked(float, lambda v: abs(v) < float("inf"), "a finite number")
+_positive = _checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0")
+_k = _checked(int, lambda v: v >= 1, "a k >= 1")
 _rank_cap = _checked(int, lambda v: v >= 2, "a rank cap >= 2")
 _max_iter = _checked(int, lambda v: v >= 0, "a cap >= 0")
 _shift = _checked(float, lambda v: v >= 0, "a shift >= 0")
@@ -241,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_spectrum)
 
     p = sub.add_parser("fk", help="CSV samples of the gap function F^k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--k", type=_k, required=True)
+    p.add_argument("--x-min", type=_positive, required=True)
+    p.add_argument("--x-max", type=_finite, required=True)
+    p.add_argument("--step", type=_positive, required=True)
     p.set_defaults(run=cmd_fk)
 
     p = sub.add_parser("inequalities", help="full grid-sampled lemma suite")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--grid-step", type=_grid_step, default=0.01)
+    p.add_argument("--grid-step", type=_positive, default=0.01)
     p.set_defaults(run=cmd_inequalities)
     return parser
 

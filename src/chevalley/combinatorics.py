@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -51,7 +50,7 @@ class GrassmannianParams:
 
 
 @lru_cache(maxsize=None)
-def _banded_binomials(n: int, r: int) -> np.ndarray:
+def banded_binomials(n: int, r: int) -> np.ndarray:
     """C(x, y) for x < n, y <= r where x - y < n - r, zero elsewhere."""
     table = np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
                       for x in range(n)], dtype=np.int64)
@@ -65,20 +64,32 @@ def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     Only C(x, y) <= C(n,r) with x - y < n - r occur; the rest is zeroed, so
     no table entry overflows int64."""
     r = subsets.shape[-1]
-    binom = _banded_binomials(n, r)
+    binom = banded_binomials(n, r)
     return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
 
 
 def k_subsets(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as sorted rows, row i of lex rank i."""
-    flat = chain.from_iterable(combinations(range(n), r))
-    return np.fromiter(flat, dtype=np.intp, count=comb(n, r) * r).reshape(-1, r)
+    """All r-subsets of range(n) as sorted rows, row i of lex rank i, filled
+    a column at a time: site b in column j-1 goes on with b+1, ..., n-r+j in
+    column j, and site a in column j heads C(n-1-a, r-1-j) rows (a >= j)."""
+    binom = banded_binomials(n + 1, r)
+    rows = np.empty((comb(n, r), r), dtype=np.intp)
+    last = np.full(1, -1, dtype=np.intp)
+    for j in range(r):
+        counts = n - r + j - last
+        starts = np.cumsum(counts) - counts
+        last = np.arange(counts.sum()) - np.repeat(starts - last - 1, counts)
+        rows[:, j] = np.repeat(last, binom[n - 1 - last, r - 1 - j])
+    return rows
 
 
-def ring_rotation(sites: np.ndarray, n: int) -> np.ndarray:
-    """Every particle one site on, kept sorted: a roll when the top one wraps."""
-    on = (sites + 1) % n
-    return np.where(on[..., -1:] == 0, np.roll(on, 1, axis=-1), on)
+def lex_rotation(holds_last: np.ndarray) -> np.ndarray:
+    """Lex rank of the ring rotation (every particle one site on) of each
+    subset, given in lex order whether each holds the last site.  Those that
+    do move, in order, to the first ranks; the rest, in order, to the last."""
+    before = np.cumsum(holds_last) - holds_last
+    return np.where(holds_last, before,
+                    holds_last.sum() + np.arange(len(holds_last)) - before)
 
 
 def ring_states(params: GrassmannianParams,
@@ -90,9 +101,10 @@ def ring_states(params: GrassmannianParams,
         raise InstanceTooLargeError(
             f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {rank_cap}")
     states = k_subsets(params.n, params.k)
-    # lexsort's last key is the primary one: weight, then lam lex-descending,
-    # which is the sites from the top one down, each descending
-    ranks = np.lexsort((*(-states.T), states.sum(axis=1)))
+    # weight, then lam lex-descending: the sites from the top one down, each
+    # descending, which is the reflected sites n-1-S in lex order
+    ranks = np.argsort(states.sum(axis=1) * params.rank
+                       + lex_rank(params.n - 1 - states[:, ::-1], params.n))
     return states[ranks], ranks
 
 

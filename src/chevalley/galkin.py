@@ -11,7 +11,6 @@ check is one comparison over an integer-indexed grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
 
 import numpy as np
 from numpy import cos, pi, sin
@@ -23,7 +22,7 @@ TAU_NUM = 1e-9  # slack for grid-sampled inequality checks
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + i*step for i = 0 .. floor((hi - lo)/step), indexed so no sum drifts."""
-    return lo + step * np.arange(floor((hi - lo) / step + 1e-9) + 1)
+    return lo + step * np.arange(np.floor((hi - lo) / step + 1e-9) + 1)
 
 
 def delta0_sine(k: int, x: float, out: np.ndarray | None = None) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
                      is_strongly_connected)
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, k_subsets,
-                            lex_rank, ring_rotation)
+                            lex_rotation)
 from .errors import CrossCheckError, IterationFailureError
 from . import galkin
 from .symfunc import (SpectralIndex, central_index, enumerate_indices,
@@ -181,8 +181,7 @@ def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
 def _rotation(params: GrassmannianParams) -> np.ndarray:
     """Position of I+ for each index I: every particle of I (its pool positions,
     listed in the lex order of k_subsets) moves one site on around the ring."""
-    n = params.n
-    return lex_rank(ring_rotation(k_subsets(n, params.k), n), n)
+    return lex_rotation(k_subsets(params.n, params.k)[:, -1] == params.n - 1)
 
 
 def property_o_check(params: GrassmannianParams,

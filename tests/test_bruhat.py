@@ -93,6 +93,64 @@ class TestReferenceRule:
         assert is_strongly_connected(incidence_matrix(g))
 
 
+@pytest.mark.parametrize("k,n", [(9, 18), (2, 160), (3, 60), (17, 20), (5, 25)])
+class TestLargeInstances:
+    """Invariants of the hop graph, checked edge by edge on instances past the
+    reach of the per-partition rule."""
+
+    @staticmethod
+    def occupied(sites, n):
+        mask = np.zeros((len(sites), n), dtype=bool)
+        mask[np.arange(len(sites))[:, None], sites] = True
+        return mask
+
+    def test_each_edge_is_one_clockwise_hop(self, k, n):
+        g = build_graph(GrassmannianParams(k, n))
+        source, target, degree = g.edge_table
+        before = self.occupied(g.states[source], n)
+        after = self.occupied(g.states[target], n)
+        left, arrived = before & ~after, after & ~before
+        assert np.all(left.sum(axis=1) == 1) and np.all(arrived.sum(axis=1) == 1)
+        site = left.argmax(axis=1)
+        assert np.array_equal(arrived.argmax(axis=1), (site + 1) % n)
+        assert np.array_equal(degree, (site == n - 1).astype(degree.dtype))
+
+    def test_out_degree_is_free_next_sites(self, k, n):
+        g = build_graph(GrassmannianParams(k, n))
+        occupied = self.occupied(g.states, n)
+        ahead = np.take_along_axis(occupied, (g.states + 1) % n, axis=1)
+        out_degree = np.bincount(g.edge_table[0], minlength=len(g.states))
+        assert np.array_equal(out_degree, (~ahead).sum(axis=1))
+
+    def test_export_order(self, k, n):
+        source, target, degree = build_graph(GrassmannianParams(k, n)).edge_table
+        same = source[1:] == source[:-1]
+        assert np.all(source[1:] >= source[:-1])
+        # per source: cover targets increasing, the q-edge last
+        assert np.all(~same | (degree[:-1] == 0))
+        covers = same & (degree[1:] == 0)
+        assert np.all(target[1:][covers] > target[:-1][covers])
+
+    def test_counts(self, k, n):
+        g = build_graph(GrassmannianParams(k, n))
+        m = incidence_matrix(g)
+        assert len(g.edges) == m.nnz == n * comb(n - 2, k - 1)
+        assert g.quantum_edge_count == comb(n - 2, k - 1)
+
+    def test_in_neighbour_table(self, k, n):
+        g = build_graph(GrassmannianParams(k, n))
+        table = incidence_matrix(g).sources
+        size = len(g.states)
+        real = table < size
+        # padding only below the in-neighbours, which increase down a column
+        assert np.all(real[1:] <= real[:-1])
+        assert np.all((np.diff(table, axis=0) > 0) | ~real[1:])
+        level, vertex = np.nonzero(real)
+        source, target, _ = g.edge_table
+        assert np.array_equal(np.sort(vertex * size + table[level, vertex]),
+                              np.sort(target * size + source))
+
+
 class TestIncidenceMatrix:
     def test_gr12(self):
         m = incidence_matrix(build_graph(GrassmannianParams(1, 2)))

@@ -252,6 +252,32 @@ class TestFk:
                              "--x-max", "5", "--step", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--x-min", "0"), ("--x-min", "-1"), ("--x-min", "inf"),
+        ("--x-min", "nan"), ("--x-max", "inf"), ("--x-max", "-inf"),
+        ("--x-max", "nan"), ("--step", "0"), ("--step", "-1"),
+        ("--step", "inf"), ("--step", "nan")])
+    def test_bad_number_exits_2_naming_the_flag(self, flag, value):
+        # --x-max inf once ended in an OverflowError traceback, exit 1
+        argv = {"--x-min": "1", "--x-max": "5", "--step": "1", flag: value}
+        code, out, err = run_cli("fk", "--k", "2",
+                                 *(f"{f}={v}" for f, v in argv.items()))
+        assert code == 2
+        assert out == "" and f"argument {flag}: need a finite number" in err
+
+    def test_k_below_one_exits_2_naming_the_flag(self):
+        code, out, err = run_cli("fk", "--k", "0", "--x-min", "1",
+                                 "--x-max", "5", "--step", "1")
+        assert code == 2
+        assert out == "" and "argument --k: need a k >= 1" in err
+
+    def test_grid_count_overflow_exits_2(self):
+        # (x_max - x_min) / step is inf though every flag is finite
+        code, out, err = run_cli("fk", "--k", "2", "--x-min", "1",
+                                 "--x-max", "1e308", "--step", "1e-10")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestInequalities:
     def test_minimal(self):

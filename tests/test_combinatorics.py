@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chevalley.combinatorics import (GrassmannianParams, dual_partition,
                                      enumerate_partitions, k_subsets, lex_rank,
-                                     ring_rotation)
+                                     lex_rotation)
 from chevalley.errors import InstanceTooLargeError
 
 from oracles import covers, covers_by_filter, is_valid_partition, quantum_target
@@ -67,13 +67,27 @@ class TestLexRank:
         assert np.array_equal(lex_rank(rows, n), np.arange(comb(n, r)))
 
 
+class TestKSubsets:
+    def test_whole_small_domain_matches_itertools(self):
+        # r = 0 is one empty row, r = n the single full one
+        for n in range(15):
+            for r in range(n + 1):
+                rows = k_subsets(n, r)
+                assert rows.dtype == np.intp
+                assert rows.shape == (comb(n, r), r)
+                want = list(combinations(range(n), r))
+                assert list(map(tuple, rows.tolist())) == want
+
+
 class TestRingRotation:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_particle_one_site_on_sorted(self, n):
         for r in range(1, n):
-            rows = k_subsets(n, r)
-            want = [sorted((s + 1) % n for s in row) for row in rows.tolist()]
-            assert ring_rotation(rows, n).tolist() == want
+            rows = list(combinations(range(n), r))
+            position = {row: i for i, row in enumerate(rows)}
+            want = [position[tuple(sorted((s + 1) % n for s in row))] for row in rows]
+            holds_last = np.array([row[-1] == n - 1 for row in rows])
+            assert lex_rotation(holds_last).tolist() == want
 
 
 class TestCovers:

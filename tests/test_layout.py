@@ -1,9 +1,12 @@
 """Library code that only tests call belongs in tests/oracles.py, not src/,
-a default that no caller changes is a constant, and the package runs on numpy
-alone."""
+a default that no caller changes is a constant, the package runs on numpy
+alone, and CI runs the Tier-1 command of ROADMAP.md."""
 
 import ast
+import re
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chevalley"
@@ -116,3 +119,13 @@ def test_every_default_is_set_by_some_caller():
              if not any(is_set(param, position, call)
                         for call in calls.get(name, []))]
     assert not unset, f"defaults that no caller sets: {unset}"
+
+
+def test_ci_runs_the_tier1_command():
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ["pip install -e .[test]", command]
