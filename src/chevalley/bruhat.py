@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
-                            banded_binomials, lex_rank, lex_rotation,
+                            banded_binomials, k_subsets, lex_rank,
                             partitions_of, ring_states)
 
 
@@ -106,10 +106,8 @@ class IncidenceOperator:
     every vertex in the order the edges are given, or `size`, which points at
     a padded zero.  A product gathers the table and sums its rows in that
     order: for increasing in-neighbours, the rounding of a CSR product.
-    `fold(orbit)` attaches `orbit` (vertex -> orbit index 0, 1, ...) and
-    `quotient`, the operator on each orbit's first vertex with the table
-    orbit[sources[:, first]], None until then.  For the orbits of a graph
-    automorphism, (quotient @ u)[orbit] = self @ u[orbit]: eigenvectors lift."""
+    `start` is a vector > 0 for the power steps to start from, None (all
+    ones) unless incidence_matrix attaches the closed-form Perron vector."""
 
     def __init__(self, source, target, size: int, weight: float = 1):
         source, target = np.asarray(source, int), np.asarray(target, int)
@@ -119,7 +117,7 @@ class IncidenceOperator:
         self.sources = np.full((max(counts.max(initial=0), 1), size), size)
         self.sources[slot, target[order]] = source[order]
         self.shape, self.weight, self.nnz = (size, size), weight, len(source)
-        self.orbit = self.quotient = None
+        self.start = None
 
     @property
     def T(self) -> IncidenceOperator:
@@ -138,31 +136,38 @@ class IncidenceOperator:
         # rows summed in order from +0, as a CSR product sums each row
         return padded.take(self.sources).sum(axis=0, initial=0.0)
 
-    def fold(self, orbit: np.ndarray) -> IncidenceOperator:
-        first = np.full(orbit.max() + 1, len(orbit))
-        np.minimum.at(first, orbit, np.arange(len(orbit)))
-        level, col = np.nonzero(self.sources[:, first] < self.shape[0])
-        self.orbit, self.quotient = orbit, IncidenceOperator(
-            orbit[self.sources[level, first[col]]], col, len(first), self.weight)
-        return self
+
+def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
+    """The Perron vector of the hop operator, up to scale: the product of
+    sin(pi (s_j - s_i) / n) over pairs i < j of occupied sites, the Schur
+    values at Rietsch's totally positive point.  When the empty sites are
+    fewer (k > n/2) the product runs over them, which agrees up to scale;
+    complement reverses lex order, so the empty sites of the subset of lex
+    rank r are the (n-k)-subset of lex rank C(n,k)-1-r.  Every factor lies
+    in (0, 1], so the vector is > 0."""
+    k, n = graph.params.k, graph.params.n
+    sites = graph.states
+    if 2 * k > n:
+        sites = k_subsets(n, n - k)[graph.params.rank - 1 - graph.ranks]
+    sine = np.sin(np.pi * np.arange(n) / n)
+    columns = np.ascontiguousarray(sites.T)
+    vector = np.ones(len(sites))
+    for j in range(1, len(columns)):
+        for i in range(j):  # one pair at a time: no (size, pairs) table
+            vector *= sine.take(columns[j] - columns[i])
+    return vector
 
 
 def incidence_matrix(graph: QuantumBruhatGraph,
                      weight: float = 1) -> IncidenceOperator:
     """weight * A with A[target, source] = 1 per edge (canonical indexing),
     in-edges in edge_table order; columns are sources, so A acts on
-    coefficient vectors by left multiplication.  Folded by the orbits of ring
-    rotation, which maps hops to hops, each labelled by its least vertex."""
+    coefficient vectors by left multiplication.  Its `start` is the
+    closed-form Perron vector of the ring states."""
     source, target, _ = graph.edge_table
-    ranks, size, n = graph.ranks, len(graph.states), graph.params.n
-    holds_last = np.zeros(size, dtype=bool)
-    holds_last[ranks] = graph.states[:, -1] == n - 1
-    step = _vertex_of(ranks)[lex_rotation(holds_last)[ranks]]
-    label = np.arange(size)
-    for _ in range((n - 1).bit_length()):  # pointer jumping; orbit sizes divide n
-        label, step = np.minimum(label, label[step]), step[step]
-    return IncidenceOperator(source, target, size, weight).fold(
-        (np.cumsum(label == np.arange(size)) - 1)[label])
+    operator = IncidenceOperator(source, target, len(graph.states), weight)
+    operator.start = _perron_vector(graph)
+    return operator
 
 
 def is_strongly_connected(operator: IncidenceOperator) -> bool:

@@ -6,12 +6,11 @@ configuration error (including --tol outside (0, 1), a --grid-step, or an fk
 --x-min or --step, that is not finite and > 0, a non-finite fk --x-max, fk
 --k < 1, --rank-cap < 2, and --max-iter or --shift < 0).  In verify,
 --shift is the shift of the power steps that certify the matrix route's
-Collatz-Wielandt bracket (default n), and --max-iter caps the operator
-products of its Arnoldi seed (on the rotation quotient) and those steps
-together.  A sweep row whose matrix route hits that cap gets the verdict
-NOT_CONVERGED.  Worker count for the sweep is taken from CHEVALLEY_WORKERS
-(default 1); the inequality suite and single-instance commands are always
-sequential.
+Collatz-Wielandt bracket (default n), and --max-iter caps their operator
+products (from the closed-form Perron vector one suffices).  A sweep row
+whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Worker
+count for the sweep is taken from CHEVALLEY_WORKERS (default 1); the
+inequality suite and single-instance commands are always sequential.
 """
 
 from __future__ import annotations

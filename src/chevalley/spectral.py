@@ -1,12 +1,13 @@
 """The divisor-class operator at q=1, its spectrum and consistency checks.
 
 The operator is n times the quantum Bruhat incidence matrix.  Its principal
-eigenvalue is seeded by thick-restart Arnoldi on the ring-rotation quotient
-and certified by shifted power steps on the full operator (a positive shift:
-n eigenvalues share the top modulus) that stop on the width of the
-Collatz-Wielandt bracket, which holds rho for any v > 0, so no seed can move
-it.  The full spectrum is the closed form n*S_(1) over the index set, and
-every closed-form eigenpair is validated by residual.
+eigenvalue is certified by shifted power steps (a positive shift: n
+eigenvalues share the top modulus) from the closed-form Perron vector that
+incidence_matrix attaches, stopped on the width of the Collatz-Wielandt
+bracket of a product with the operator.  The bracket holds rho for any
+v > 0, so the start only sets the number of products (one, when it is
+exact), never the value.  The full spectrum is the closed form n*S_(1) over
+the index set, and every closed-form eigenpair is validated by residual.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .symfunc import (SpectralIndex, central_index, enumerate_indices,
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
-KRYLOV_BASIS = 20  # Arnoldi vectors held at once
-KRYLOV_KEEP = 10  # Ritz directions kept across a restart
 
 
 @dataclass
@@ -43,7 +42,7 @@ class SpectralReport:
     top_arguments_are_roots: bool
     eigen_residuals: np.ndarray  # per index, in enumerate_indices order
     max_eigen_residual: float
-    power_iterations: int  # operator products, Arnoldi and power steps
+    power_iterations: int  # operator products of the power steps
     matrix_bracket: tuple[float, float]  # Collatz-Wielandt [lo, hi] on delta0
 
 
@@ -54,93 +53,25 @@ def c1_operator(params: GrassmannianParams,
     return incidence_matrix(graph, float(params.n))
 
 
-def _arnoldi_seed(matrix, tol, max_iter):
-    """Rightmost Ritz vector of matrix and the operator products it took.
-
-    Thick-restart Arnoldi from the all-ones vector: a basis of at most
-    KRYLOV_BASIS vectors, restarted on an orthonormal basis of the real
-    invariant subspace of the KRYLOV_KEEP rightmost Ritz values (each
-    conjugate pair taken once, as its real and imaginary parts).  It stops
-    when the rightmost Ritz residual is below tol/100 relative, when the basis
-    spans an invariant subspace (always, by rank <= KRYLOV_BASIS), or at
-    max_iter products.  The vector is only a start: the certifying power
-    steps make the value; _power_iteration runs it on the rotation quotient.
-    """
-    size = matrix.shape[0]
-    m = min(KRYLOV_BASIS, size)
-    basis = np.empty((m + 1, size))
-    h = np.zeros((m + 1, m))
-    basis[0] = 1.0 / np.sqrt(size)
-    if max_iter < 1:
-        return basis[0], 0
-    j = products = 0
-    while True:
-        invariant = False
-        while j < m and products < max_iter:
-            w = matrix @ basis[j]
-            products += 1
-            scale = beta = np.linalg.norm(w)
-            # classical Gram-Schmidt, repeated once if it shrank w below
-            # 1/sqrt(2) of its norm (Daniel-Gragg-Kaufman-Stewart)
-            for _ in range(2):
-                c = basis[:j + 1] @ w
-                w -= c @ basis[:j + 1]
-                h[:j + 1, j] += c
-                before, beta = beta, np.linalg.norm(w)
-                if beta * np.sqrt(2) > before:
-                    break
-            j += 1
-            # a remainder at rounding level (measured <= 1e-14 of ||Av||):
-            # the basis spans an invariant subspace
-            if j == size or beta <= 1e-12 * scale:
-                invariant = True
-                break
-            h[j, j - 1] = beta
-            basis[j] = w / beta
-        theta, y = np.linalg.eig(h[:j, :j])
-        order = np.argsort(-theta.real, kind="stable")
-        theta, y = theta[order], y[:, order]
-        top = y[:, 0].real @ basis[:j]
-        residual = 0.0 if invariant else abs(h[j, :j] @ y[:, 0])
-        if (invariant or products >= max_iter
-                or residual <= tol / 100 * abs(theta[0])):
-            return top, products
-        keep = []
-        for value, vec in zip(theta, y.T):
-            if len(keep) >= KRYLOV_KEEP:
-                break
-            if value.imag >= 0:  # imag < 0: the partner of a pair taken
-                keep += [vec.real, vec.imag] if value.imag > 0 else [vec.real]
-        q, _ = np.linalg.qr(np.column_stack(keep))
-        p = q.shape[1]
-        # A V Q = V Q (Q^T H Q) + v_m (h_m Q): a Krylov decomposition of size p
-        h[:p, :p], h[p, :p] = q.T @ h[:m, :m] @ q, h[m, :m] @ q
-        h[:p + 1, p:] = h[p + 1:, :] = 0.0
-        basis[:p], basis[p] = q.T @ basis[:m], basis[m]
-        j = p
-
-
 def _power_iteration(matrix, shift, tol, max_iter):
     """(value, operator products, Collatz-Wielandt bracket) of the Perron root.
 
-    From the Arnoldi seed, v = |Re(Ritz vector)| (of matrix.quotient, lifted
-    through matrix.orbit, if matrix has one) takes shifted power steps
-    v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and v > 0,
-    min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every product; the
-    midpoint is returned once the width is below tol*max(1, midpoint).
+    From v = matrix.start, or all ones for a matrix without one, shifted
+    power steps v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and
+    v > 0, min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every
+    product; the midpoint is returned once the width is below
+    tol*max(1, midpoint).
     """
-    quotient = getattr(matrix, "quotient", None)
-    v, products = _arnoldi_seed(quotient or matrix, tol, max_iter)
-    v = np.abs(v if quotient is None else v[matrix.orbit])
+    start = getattr(matrix, "start", None)
+    v = np.ones(matrix.shape[0]) if start is None else np.array(start, float)
     lo = hi = np.nan
-    while products < max_iter:
+    for products in range(1, max_iter + 1):
         norm = np.linalg.norm(v)
         if not norm > 0:
             raise IterationFailureError("iterate collapsed to zero",
-                                        last_vector=v, iterations=products)
+                                        last_vector=v, iterations=products - 1)
         v /= norm
         av = matrix @ v
-        products += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = av / v
         lo, hi = float(np.min(ratios)), float(np.max(ratios))

@@ -205,7 +205,7 @@ class TestIncidenceOperator:
         assert (m @ np.array([1.0, 10.0, 100.0])).tolist() == [25.0, 252.5, 0.0]
 
     def test_repeated_edge_sums_in_dense_form(self):
-        # a quotient meets an orbit twice; the product and toarray() agree
+        # a repeated edge counts twice; the product and toarray() agree
         m = IncidenceOperator([0, 0, 1], [1, 1, 0], 2, weight=3.0)
         assert m.toarray().tolist() == [[0, 3.0], [6.0, 0]]
         assert (m @ np.array([1.0, 2.0])).tolist() == [6.0, 6.0]
@@ -213,7 +213,7 @@ class TestIncidenceOperator:
 
 class TestRotationQuotient:
     """Moving every particle one site on around the ring is an automorphism
-    of the graph; incidence_matrix folds the operator by its orbits."""
+    of the graph, so the Perron vector is constant on its orbits."""
 
     @staticmethod
     def rotation(g):
@@ -232,39 +232,22 @@ class TestRotationQuotient:
             pairs = set(zip(source.tolist(), target.tolist()))
             assert set(zip(perm[source].tolist(), perm[target].tolist())) == pairs
 
-    def test_orbits_are_rotation_cycles(self):
-        for p in all_params(10):
-            g = build_graph(p)
-            perm, orbit = self.rotation(g), incidence_matrix(g).orbit
-            assert np.array_equal(orbit[perm], orbit)
-            cycles, seen = 0, np.zeros(len(perm), bool)
-            for start in range(len(perm)):
-                cycles += not seen[start]
-                i = start
-                while not seen[i]:
-                    seen[i], i = True, perm[i]
-            sizes = np.bincount(orbit)
-            assert len(sizes) == cycles
-            assert all(p.n % size == 0 for size in sizes.tolist())
-            assert sizes.sum() == p.rank
-            # numbered in order of first vertex
-            assert np.all(np.diff(np.unique(orbit, return_index=True)[1]) > 0)
 
-    def test_quotient_keeps_the_perron_root(self):
+class TestPerronStart:
+    """incidence_matrix attaches the closed-form Perron vector as `start`."""
+
+    def test_positive_and_parallel_to_the_dense_perron_vector(self):
+        # k > n/2 takes the product over the empty sites
         for p in all_params(10):
             m = incidence_matrix(build_graph(p), float(p.n))
-            full = np.linalg.eigvals(m.toarray()).real.max()
-            folded = np.linalg.eigvals(m.quotient.toarray()).real.max()
-            assert abs(folded - full) <= 1e-12 * full
-            assert m.quotient.quotient is None and m.T.quotient is None
-
-    def test_quotient_lifts_orbit_constant_vectors(self):
-        rng = np.random.default_rng(5)
-        for k, n in [(2, 6), (3, 9), (4, 10), (5, 10)]:
-            m = incidence_matrix(build_graph(GrassmannianParams(k, n)), 2.0)
-            u = rng.standard_normal(m.quotient.shape[0])
-            lifted = m @ u[m.orbit]
-            assert np.max(np.abs(lifted - (m.quotient @ u)[m.orbit])) < 1e-12
+            values, vectors = np.linalg.eig(m.toarray())
+            top = np.argmax(values.real)
+            assert abs(values[top] - np.abs(values).max()) < 1e-9 * p.n
+            want = vectors[:, top].real
+            want /= want.sum()
+            start = m.start / m.start.sum()
+            assert np.all(m.start > 0) and m.start.shape == (p.rank,)
+            assert np.max(np.abs(start - want)) < 1e-12 * start.max()
 
 
 def digraph(m, edges):

@@ -76,6 +76,13 @@ class TestVerify:
         assert code == 2
         assert out == "" and flag in err
 
+    def test_one_product_suffices(self):
+        # the closed-form start meets the 1e-12 bracket with one product
+        code, out, err = run_cli("verify", "--k", "6", "--n", "12",
+                                 "--max-iter", "1")
+        assert code == 0, err
+        assert "power_iterations=1" in out
+
     def test_zero_cap_is_a_failed_check(self):
         code, _, err = run_cli("verify", "--k", "2", "--n", "6", "--max-iter", "0")
         assert code == 1

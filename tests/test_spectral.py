@@ -85,7 +85,7 @@ class TestPrincipalEigenvalue:
 
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 5)])
     def test_rank_at_most_basis_size(self, k, n):
-        # the first Arnoldi pass spans the whole space
+        # instances of rank 2 and 10, the smallest the route sees
         p = GrassmannianParams(k, n)
         value, products, (lo, hi) = _power_iteration(
             c1_operator(p), float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
@@ -93,30 +93,22 @@ class TestPrincipalEigenvalue:
         assert abs(value - delta0_sine(k, float(n))) < 1e-13 * value
         assert lo <= value <= hi
 
-    def test_seed_runs_on_the_quotient(self):
-        # quotient products count toward the total and toward max_iter
-        sizes = []
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 19)
+                                     for k in range(1, n)]
+                             + [(2, 160), (9, 18), (17, 20)])
+    def test_one_product_from_the_closed_form_start(self, k, n):
+        # a speed guard: the closed-form Perron vector meets the stop at once
+        value, products, (lo, hi) = _power_iteration(
+            c1_operator(GrassmannianParams(k, n)), float(n),
+            DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        assert products == 1
+        assert hi - lo < 1e-12 * value
 
-        class Counting:
-            def __init__(self, op):
-                self.op, self.shape = op, op.shape
-
-            def __matmul__(self, v):
-                sizes.append(len(v))
-                return self.op @ v
-
-        m = c1_operator(GrassmannianParams(2, 40))
-        m.quotient = Counting(m.quotient)
-        _, products, _ = _power_iteration(m, 40.0, DEFAULT_POWER_TOL,
-                                          DEFAULT_MAX_ITER)
-        assert sizes and set(sizes) == {m.quotient.shape[0]}
-        assert m.quotient.shape[0] <= m.shape[0] // 20 + 1
-        assert len(sizes) < products
-        sizes.clear()
-        with pytest.raises(IterationFailureError) as info:
-            _power_iteration(m, 40.0, DEFAULT_POWER_TOL, 5)
-        assert sizes == [m.quotient.shape[0]] * 5
-        assert info.value.iterations == 5
+    def test_start_is_read_not_written(self):
+        m = c1_operator(GrassmannianParams(3, 7))
+        start = m.start.copy()
+        _power_iteration(m, 7.0, DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+        assert np.array_equal(m.start, start)
 
     def test_nonconvergence_raises(self):
         m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -158,25 +150,23 @@ class TestCollatzWielandtBracket:
         assert value == 0.5 * (lo + hi)
 
     @pytest.mark.parametrize("k,n", [(2, 7), (3, 8)])
-    @pytest.mark.parametrize("wrong", ["one_orbit", "two_swapped"])
-    def test_wrong_orbits_cannot_move_the_bracket(self, k, n, wrong):
-        # the seed runs on the quotient, the bracket on the full operator: a
-        # wrong orbit map may cost products, never a wrong certified value
+    @pytest.mark.parametrize("wrong", ["ones", "one_scaled", "reversed"])
+    def test_bad_starts_cannot_move_the_bracket(self, k, n, wrong):
+        # the start only sets the number of products: the bracket comes from
+        # a product with the operator, so it never certifies a wrong value
         m = c1_operator(GrassmannianParams(k, n))
-        orbit = m.orbit.copy()
-        if wrong == "one_orbit":
-            orbit[:] = 0
-        else:
-            other = int(np.flatnonzero(orbit != orbit[0])[0])
-            orbit[0], orbit[other] = orbit[other], orbit[0]
-        m.fold(orbit)
-        assert m.quotient.shape[0] == (1 if wrong == "one_orbit"
-                                       else len(np.unique(orbit)))
+        if wrong == "ones":
+            m.start = None
+        elif wrong == "one_scaled":
+            m.start[m.shape[0] // 2] *= 1e3
+        else:  # the start of the reversed vertex order
+            m.start = m.start[::-1].copy()
         try:
-            value, _, (lo, hi) = _power_iteration(
+            value, products, (lo, hi) = _power_iteration(
                 m, float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
         except IterationFailureError:
             return
+        assert products > 1
         want = sine_form(k, n)
         ulps = 4 * np.spacing(want)
         assert hi - lo < 1e-12 * max(1.0, value)
