@@ -100,41 +100,29 @@ def build_graph(params: GrassmannianParams,
 
 
 class IncidenceOperator:
-    """weight * A for the 0/1 matrix with A[t, s] = 1 per edge s -> t.
-
-    Row d of `sources` (at least one row) holds the d-th in-neighbour of
-    every vertex in the order the edges are given, or `size`, which points at
-    a padded zero.  A product gathers the table and sums its rows in that
-    order: for increasing in-neighbours, the rounding of a CSR product.
-    `start` is a vector > 0 for the power steps to start from, None (all
-    ones) unless incidence_matrix attaches the closed-form Perron vector."""
+    """weight * A for the 0/1 matrix with A[t, s] = 1 per edge s -> t, held
+    as the edge list itself: rows `source` and `target`, in the order given.
+    A product adds each edge's weighted source entry into its target in
+    edge order from +0 (np.add.at is unbuffered): for edges sorted by
+    source, the rounding of a CSR product.  `start` is a vector > 0 for the
+    power steps to start from, None (all ones) unless incidence_matrix
+    attaches the closed-form Perron vector."""
 
     def __init__(self, source, target, size: int, weight: float = 1):
-        source, target = np.asarray(source, int), np.asarray(target, int)
-        order = np.argsort(target, kind="stable")
-        counts = np.bincount(target, minlength=size)
-        slot = np.arange(len(order)) - (np.cumsum(counts) - counts)[target[order]]
-        self.sources = np.full((max(counts.max(initial=0), 1), size), size)
-        self.sources[slot, target[order]] = source[order]
-        self.shape, self.weight, self.nnz = (size, size), weight, len(source)
+        self.source = np.asarray(source, np.intp)
+        self.target = np.asarray(target, np.intp)
+        self.shape, self.weight, self.nnz = (size, size), weight, len(self.source)
         self.start = None
 
-    @property
-    def T(self) -> IncidenceOperator:
-        target, level = np.nonzero(self.sources.T < self.shape[0])
-        return IncidenceOperator(target, self.sources[level, target],
-                                 self.shape[0], self.weight)
-
     def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.shape[0], self.shape[0] + 1))
-        np.add.at(dense, (np.arange(self.shape[0]), self.sources), self.weight)
-        return dense[:, :-1]
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.target, self.source), self.weight)
+        return dense
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.shape[0] + 1, np.result_type(v, self.weight))
-        np.multiply(v, self.weight, out=padded[:-1])
-        # rows summed in order from +0, as a CSR product sums each row
-        return padded.take(self.sources).sum(axis=0, initial=0.0)
+        out = np.zeros(self.shape[0], np.result_type(v, self.weight))
+        np.add.at(out, self.target, np.multiply(v, self.weight).take(self.source))
+        return out
 
 
 def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
@@ -160,9 +148,9 @@ def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
 
 def incidence_matrix(graph: QuantumBruhatGraph,
                      weight: float = 1) -> IncidenceOperator:
-    """weight * A with A[target, source] = 1 per edge (canonical indexing),
-    in-edges in edge_table order; columns are sources, so A acts on
-    coefficient vectors by left multiplication.  Its `start` is the
+    """weight * A with A[target, source] = 1 per edge (canonical indexing):
+    the rows of edge_table, shared, not copied; columns are sources, so A
+    acts on coefficient vectors by left multiplication.  Its `start` is the
     closed-form Perron vector of the ring states."""
     source, target, _ = graph.edge_table
     operator = IncidenceOperator(source, target, len(graph.states), weight)
@@ -172,15 +160,18 @@ def incidence_matrix(graph: QuantumBruhatGraph,
 
 def is_strongly_connected(operator: IncidenceOperator) -> bool:
     """Whether vertex 0 reaches every vertex along the edges and against
-    them: one gather of in-neighbours per level, the padding never reached."""
-    for table in (operator.sources, operator.T.sources):
-        size = table.shape[1]
-        seen = np.arange(size + 1) == 0
+    them: per level, one scatter of the frontier over the edge list."""
+    size = operator.shape[0]
+    for tail, head in ((operator.source, operator.target),
+                       (operator.target, operator.source)):
+        seen = np.arange(size) == 0
         frontier = seen.copy()
         while frontier.any():
-            frontier[:size] = frontier.take(table).any(axis=0) & ~seen[:size]
+            reached = np.zeros(size, dtype=bool)
+            reached[head[frontier[tail]]] = True
+            frontier = reached & ~seen
             seen |= frontier
-        if not seen[:size].all():
+        if not seen.all():
             return False
     return True
 

@@ -8,16 +8,14 @@ configuration error (including --tol outside (0, 1), a --grid-step, or an fk
 --shift is the shift of the power steps that certify the matrix route's
 Collatz-Wielandt bracket (default n), and --max-iter caps their operator
 products (from the closed-form Perron vector one suffices).  A sweep row
-whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Worker
-count for the sweep is taken from CHEVALLEY_WORKERS (default 1); the
-inequality suite and single-instance commands are always sequential.
+whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Every
+command runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import galkin as gk
@@ -84,8 +82,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
-def _sweep_row(args):
-    k, n, tol, rank_cap = args
+def _sweep_row(k, n, tol, rank_cap):
     params = GrassmannianParams(k, n)
     grep = gk.verify_galkin(params)
     matrix_delta0 = None
@@ -105,16 +102,8 @@ def _sweep_row(args):
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise ValueError("need n_max >= 2")
-    jobs = [(k, n, args.tol, args.rank_cap)
+    rows = [_sweep_row(k, n, args.tol, args.rank_cap)
             for n in range(2, args.n_max + 1) for k in range(1, n)]
-    workers = int(os.environ.get("CHEVALLEY_WORKERS", "1"))
-    if workers > 1:
-        # imported only when used: multiprocessing slows every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(j) for j in jobs]
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     else:

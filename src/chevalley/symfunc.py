@@ -121,10 +121,8 @@ def _minor_tables(params: GrassmannianParams):
     m = min(k, n - k)
     states, perm = ring_states(params)
     sign = np.ones(len(perm))
-    if m < k:
-        keep = np.ones((len(perm), n), dtype=bool)
-        keep[np.arange(len(perm))[:, None], states] = False
-        perm = lex_rank(np.nonzero(keep)[1].reshape(-1, m), n)
+    if m < k:  # complement reverses lex order
+        perm = params.rank - 1 - perm
         sign = (-1.0) ** (states.sum(axis=1) - k * (k - 1) // 2)
     levels = []
     for j in range(1, m + 1):

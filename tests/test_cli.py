@@ -123,7 +123,6 @@ class TestSweep:
                    for r in rows if r["delta0_matrix"] is not None)
 
     def test_route_mismatch_verdict(self, monkeypatch):
-        monkeypatch.delenv("CHEVALLEY_WORKERS", raising=False)
         monkeypatch.setattr(spectral, "principal_eigenvalue",
                             lambda matrix, shift: -1.0)
         code, out, _ = run_cli("sweep", "--n-max", "4", "--format", "json")
@@ -140,7 +139,6 @@ class TestSweep:
                 raise IterationFailureError("capped", last_vector=[1.0])
             return real(matrix, shift)
 
-        monkeypatch.delenv("CHEVALLEY_WORKERS", raising=False)
         monkeypatch.setattr(spectral, "principal_eigenvalue", capped)
         code, out, _ = run_cli("sweep", "--n-max", "4", "--format", "json")
         assert code == 1
@@ -310,10 +308,10 @@ class TestInequalities:
         assert out == "" and "--grid-step" in err
 
 
-def _run_python(code, **env):
+def _run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -326,11 +324,3 @@ def test_cli_import_skips_csgraph_and_scipy_linalg():
                       "sys.modules if m.split('.')[0] == 'scipy' "
                       "or m == 'concurrent.futures.process'))")
     assert out.strip() == "[]"
-
-
-def test_sweep_with_two_workers_matches_one():
-    code = ("import sys; from chevalley.cli import main; "
-            "sys.exit(main(['sweep', '--n-max', '8', '--format', 'json']))")
-    one = _run_python(code, CHEVALLEY_WORKERS="1")
-    assert one == _run_python(code, CHEVALLEY_WORKERS="2")
-    assert len(json.loads(one)) == 28

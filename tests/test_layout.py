@@ -129,7 +129,8 @@ def test_ci_runs_the_tier1_command():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[:2] == ["pip install -e .[test]", command]
-    # then the benchmark's correctness gate, on its two matrix-route workloads
+    # then the benchmark's correctness gate, on the workloads whose products
+    # go through the incidence operator
     (gate,) = runs[2:]
     assert "bench/run.py --workload $w --seed 0 --seconds 1 --trace 0" in gate
-    assert "for w in matrix-thin sweep;" in gate and "['correct'] is not True" in gate
+    assert "for w in matrix-thin sweep verify;" in gate and "['correct'] is not True" in gate
