@@ -78,6 +78,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           and grep.consistent
           and srep.top_multiplicity == 1
           and srep.rotation_closed
+          and srep.top_arguments_are_roots
           and srep.max_eigen_residual < args.tol)
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
@@ -135,6 +136,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
           f"rotation_closed={srep.rotation_closed}  "
           f"top_on_roots={srep.top_arguments_are_roots}")
     ok = (srep.top_multiplicity == 1 and srep.rotation_closed
+          and srep.top_arguments_are_roots
           and srep.max_eigen_residual < args.tol)
     return EXIT_OK if ok else EXIT_MATH_FAIL
 

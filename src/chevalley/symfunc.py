@@ -9,7 +9,10 @@ Two independent evaluators are kept: Jacobi-Trudi determinants
 (schur_eval, schur_values_box), one masked assembly over a table of complete
 homogeneous polynomials, which serve the Schur route and the tests, and the
 bialternant numerators behind rietsch_eigenvector, the k x k minors of the
-matrix (z_i^c) computed by Laplace expansion.
+matrix (z_i^c) computed by Laplace expansion.  That expansion runs once per
+orbit of the ring rotation I -> I+ (every doubled exponent +2, wrapping past
+2n-k-1 by -2n): the orbit's other eigenvectors are its first one times the
+exact phases zeta^{-m |lam|}, zeta = e^{2 pi i / n}.
 """
 
 from __future__ import annotations
@@ -102,13 +105,16 @@ def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
 def _minor_tables(params: GrassmannianParams):
     """Index tables of the Laplace expansion behind rietsch_eigenvector.
 
-    Returns (levels, perm, sign, complement).  Level j lists the j-subsets T
-    of range(n) lexicographically as (col, child, alt, work): col[T, p] =
-    T[p], child[T, p] the rank of T without T[p] one level down, alt[p] the
-    cofactor sign (-1)^{j-1+p} of expanding along row j-1, and work scratch
-    every call overwrites (fresh arrays regrow the heap per call).  The top
-    level is m = min(k, n-k); perm takes the box partitions in canonical
-    order to the top-level subsets, and sign is their factor.
+    Returns (levels, perm, sign, complement, weights, phases).  Level j lists
+    the j-subsets T of range(n) lexicographically as (col, child, alt, work):
+    col[T, p] = T[p], child[T, p] the rank of T without T[p] one level down,
+    alt[p] the cofactor sign (-1)^{j-1+p} of expanding along row j-1, and
+    work scratch every call overwrites (fresh arrays regrow the heap per
+    call).  The top level is m = min(k, n-k); perm takes the box partitions
+    in canonical order to the top-level subsets, and sign is their factor.
+    weights holds the exact integer |lam| = sum S - k(k-1)/2 of each box
+    partition and phases the n powers zeta^{-j}, zeta = e^{2 pi i / n}, that
+    turn an orbit's first eigenvector into the others.
 
     For k <= n/2 partition lam maps to its column set S = {lam_j + k - j}.
     Otherwise (complement) it maps to the complement of S, and sign is
@@ -120,10 +126,11 @@ def _minor_tables(params: GrassmannianParams):
     k, n = params.k, params.n
     m = min(k, n - k)
     states, perm = ring_states(params)
+    weights = states.sum(axis=1) - k * (k - 1) // 2
     sign = np.ones(len(perm))
     if m < k:  # complement reverses lex order
         perm = params.rank - 1 - perm
-        sign = (-1.0) ** (states.sum(axis=1) - k * (k - 1) // 2)
+        sign = (-1.0) ** weights
     levels = []
     for j in range(1, m + 1):
         subsets = k_subsets(n, j)
@@ -133,12 +140,51 @@ def _minor_tables(params: GrassmannianParams):
         alt = (-1.0) ** (j - 1 + np.arange(j))
         work = np.empty((2,) + subsets.shape, dtype=complex)
         levels.append((subsets, child, alt, work))
-    return tuple(levels), perm, sign, m < k
+    phases = np.exp(-2j * np.pi * np.arange(n) / n)
+    return tuple(levels), perm, sign, m < k, weights, phases
+
+
+def _orbit_start(I: SpectralIndex, params: GrassmannianParams):
+    """(R, m): the lex-least rotation R of I and the m with I = R rotated m
+    times, rotation moving every particle one site on around the ring.
+
+    R holds the pool's first exponent -(k-1), so it is the least of the k
+    rotations that move one element of I there.  Each candidate's exponents
+    are running sums of I's cyclic gaps from that element on, so comparing
+    the gap sequences compares the candidates; for an orbit of period p
+    every p-th candidate ties.
+    """
+    k, n = params.k, params.n
+    gaps = [b - a for a, b in zip(I, I[1:])] + [I[0] + 2 * n - I[-1]]
+    j = min(range(k), key=lambda j: gaps[j:] + gaps[:j])
+    rep = tuple(sorted((d - I[j]) % (2 * n) - (k - 1) for d in I))
+    return rep, (I[j] + k - 1) // 2
 
 
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
     """Coordinate vector of the eigenbasis element labeled by I: the
     conjugated Schur values over all box partitions in canonical order.
+
+    The vector is computed once per rotation orbit (_laplace_expansion, at
+    the orbit's lex-least member R) and reached from there by an exact
+    phase: if I is R rotated m times, v_I = zeta^{-m |lam|} * v_R coordinate
+    by coordinate, zeta = e^{2 pi i / n}.  One rotation multiplies every
+    root z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
+    s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
+    table of the n powers of zeta^{-1} at the integer m|lam| mod n, so no
+    error accumulates along the orbit.
+    """
+    rep, m = _orbit_start(I, params)
+    *_, weights, phases = _minor_tables(params)
+    # the phase of each grade |lam| = 0..dim, then of each coordinate
+    by_grade = np.take(phases, m * np.arange(params.dim + 1), mode="wrap")
+    return by_grade.take(weights) * _laplace_expansion(rep, params)
+
+
+@lru_cache(maxsize=1)
+def _laplace_expansion(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
+    """rietsch_eigenvector at I by the bialternant, read-only and cached for
+    the next call, which is the next member of I's orbit in an orbit walk.
 
     s_lam(z) is the bialternant det(z_i^{lam_j + k - j}) / det(z_i^{k-j}).
     All numerators at z = zeta^I are the k x k minors of the k x n matrix
@@ -147,7 +193,7 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     k > n/2 the expansion runs on the n-k conjugated complementary roots
     instead (see _minor_tables), so no level exceeds min(k, n-k) rows.
     """
-    levels, perm, sign, complement = _minor_tables(params)
+    levels, perm, sign, complement, _, _ = _minor_tables(params)
     n = params.n
     d = np.asarray(I)
     if complement:
@@ -160,4 +206,6 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
         terms *= np.take(minors, child, out=work[1], mode="clip")
         minors = terms @ alt
     v = sign * minors[perm]
-    return np.conj(v / v[0])
+    v = np.conj(v / v[0])
+    v.flags.writeable = False
+    return v

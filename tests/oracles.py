@@ -130,3 +130,9 @@ def multiset_invariant_under(spectrum, factor, tol):
             return False
         used[j] = True
     return True
+
+
+def shifted(I, n):
+    """I+: every doubled exponent plus 2, wrapped past 2n-k-1 by -2n."""
+    top = 2 * n - len(I) - 1
+    return tuple(sorted(d + 2 if d + 2 <= top else d + 2 - 2 * n for d in I))

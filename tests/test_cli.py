@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chevalley import spectral
+from chevalley import spectral, symfunc
 from chevalley.cli import main
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
@@ -82,6 +82,43 @@ class TestVerify:
                                  "--max-iter", "1")
         assert code == 0, err
         assert "power_iterations=1" in out
+
+    def test_short_period_orbits_at_rank_3432(self):
+        # Gr(7,14) has rotation orbits of period 2, 7 and 14
+        code, out, err = run_cli("verify", "--k", "7", "--n", "14", "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["rank"] == 3432
+        assert obj["max_eigen_residual"] < 1e-8
+
+    def test_wrong_phase_is_caught_by_the_residual(self, monkeypatch):
+        # |lam| off by one at one coordinate: every rotated eigenvector
+        # gets a wrong phase there, and only the residual can see it
+        real = symfunc._minor_tables
+
+        def off_by_one(params):
+            *tables, weights, phases = real(params)
+            weights = weights.copy()
+            weights[1] += 1
+            return (*tables, weights, phases)
+
+        monkeypatch.setattr(symfunc, "_minor_tables", off_by_one)
+        code, out, _ = run_cli("verify", "--k", "3", "--n", "7", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["max_eigen_residual"] > 1e-8
+
+    def test_top_circle_off_the_roots_fails(self, monkeypatch):
+        monkeypatch.setattr(spectral, "property_o_check",
+                            lambda params, tol: (1, True, False))
+        for command in ("verify", "spectrum"):
+            code, out, _ = run_cli(command, "--k", "3", "--n", "7")
+            assert code == 1
+            assert "top_on_roots=False" in out
+        # the finding gates the exit code but adds no JSON key
+        code, out, _ = run_cli("verify", "--k", "3", "--n", "7", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["property_o"] == {"top_multiplicity": 1,
+                                                 "rotation_closed": True}
 
     def test_zero_cap_is_a_failed_check(self):
         code, _, err = run_cli("verify", "--k", "2", "--n", "6", "--max-iter", "0")

@@ -6,15 +6,15 @@ import scipy.sparse as sp
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
-from chevalley import spectral
+from chevalley import spectral, symfunc
 from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
                                 _power_iteration, _rotation, c1_operator,
                                 eigen_residual, principal_eigenvalue,
                                 property_o_check, spectral_report,
                                 spectrum_closed_form)
-from chevalley.symfunc import enumerate_indices, roots_tuple
+from chevalley.symfunc import enumerate_indices, rietsch_eigenvector, roots_tuple
 
-from oracles import multiset_invariant_under
+from oracles import multiset_invariant_under, shifted
 
 
 def sorted_complex(values):
@@ -231,10 +231,31 @@ class TestEigenResidual:
             assert eigen_residual(I, p, op) < 1e-8
 
 
-def shifted(I, n):
-    """I+: every doubled exponent plus 2, wrapped past 2n-k-1 by -2n."""
-    top = 2 * n - len(I) - 1
-    return tuple(sorted(d + 2 if d + 2 <= top else d + 2 - 2 * n for d in I))
+class TestOrbitWalk:
+    def test_every_index_once_in_lex_order(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                op = c1_operator(p)
+                want = [eigen_residual(I, p, op) for I in enumerate_indices(p)]
+                got = spectral_report(p).eigen_residuals
+                assert len(got) == p.rank
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+    # orbits = binary necklaces, (1/n) sum over d | gcd(n, k) of
+    # phi(d) C(n/d, k/d); periods below n where gcd(n, k) > 1
+    @pytest.mark.parametrize("k,n,orbits", [
+        (6, 12, 80), (4, 8, 10), (5, 10, 26), (3, 9, 10), (2, 4, 2),
+        (1, 7, 1), (29, 30, 1), (7, 9, 4)])
+    def test_one_expansion_per_orbit(self, k, n, orbits, monkeypatch):
+        p = GrassmannianParams(k, n)
+        calls = []
+        counted = lambda I, params: calls.append(I) or rietsch_eigenvector(I, params)
+        monkeypatch.setattr(spectral, "rietsch_eigenvector", counted)
+        symfunc._laplace_expansion.cache_clear()
+        spectral_report(p)
+        assert sorted(calls) == enumerate_indices(p)
+        assert symfunc._laplace_expansion.cache_info().misses == orbits
 
 
 class TestPropertyO:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.combinatorics import GrassmannianParams, enumerate_partitions
-from chevalley.symfunc import (central_index, enumerate_indices,
+from chevalley.symfunc import (_orbit_start, central_index, enumerate_indices,
                                homogeneous_table, rietsch_eigenvector,
                                roots_tuple, schur_eval, schur_values_box)
 
-from oracles import TAU_ALG, h_monomial, schur_brute
+from oracles import TAU_ALG, h_monomial, schur_brute, shifted
 
 RNG = np.random.default_rng(20240817)
 
@@ -150,6 +150,19 @@ class TestRietschEigenvector:
                     want = np.conj(schur_values_box(p, roots_tuple(I, p)))
                     got = rietsch_eigenvector(I, p)
                     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_orbit_start_is_lex_least_rotation(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                for I in enumerate_indices(p):
+                    orbit = [I]
+                    while (nxt := shifted(orbit[-1], n)) != I:
+                        orbit.append(nxt)
+                    rep, m = _orbit_start(I, p)
+                    assert rep == min(orbit)
+                    # I is R rotated m times, and orbit[j] is I rotated j times
+                    assert (orbit.index(rep) + m) % len(orbit) == 0
 
     def test_never_zero(self):
         for n in range(2, 8):
