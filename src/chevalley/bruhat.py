@@ -76,26 +76,30 @@ def build_graph(params: GrassmannianParams,
     """All particle hops, from one (rank, k+1) table of the moves out of
     each vertex: column c < k hops particle k-1-c, the top one first, so the
     cover targets come in canonical order; column k wraps the top one to 0.
+    Each column is filled by 1-D passes over one particle's contiguous sites.
 
     Edges are emitted in deterministic order: sources in canonical vertex
     order, cover targets by canonical index, then the degree-1 edge.
     """
     k, n = params.k, params.n
     states, ranks = ring_states(params, rank_cap)
-    hops = np.empty((len(states), k + 1), dtype=bool)
-    hops[:, k - 1::-1] = np.diff(states, axis=1, append=states[:, :1] + n) > 1
-    hops[:, k] = hops[:, 0] & (states[:, -1] == n - 1)
-    hops[:, 0] &= ~hops[:, k]
-    # particle p hopping on from site a adds C(n-2-a, k-1-p) to the lex rank,
-    # inside the band as a >= p (a = n-1 reads row -1, never used)
+    sites, binom = states.T, banded_binomials(n, k)  # sites[p]: particle p
+    hops = np.empty((len(ranks), k + 1), dtype=bool)
     lex = np.empty(hops.shape, dtype=ranks.dtype)
-    lex[:, k - 1::-1] = ranks[:, None] + banded_binomials(n, k)[
-        n - 2 - states, k - 1 - np.arange(k)]
-    wrapped = np.roll(states[hops[:, k]], 1, axis=1)
-    wrapped[:, 0] = 0  # re-sorted, so ranked in full
-    lex[hops[:, k], k] = lex_rank(wrapped, n)
-    source, column = np.nonzero(hops)
-    table = np.array([source, _vertex_of(ranks)[lex[hops]], column == k])
+    # particle p covers if the site on is empty (the top one: if below n-1),
+    # adding C(n-2-a, k-1-p) to the lex rank from site a >= p (a = n-1 wraps)
+    for p, c in zip(range(k), range(k - 1, -1, -1)):
+        np.greater((sites[p + 1] if c else n) - sites[p], 1, out=hops[:, c])
+        np.add(ranks, binom[:, c].take(n - 2 - sites[p], mode="wrap"), out=lex[:, c])
+    # the top one wraps from n-1 into (0, T), T = sites[:-1] >= 1: rank T-1
+    np.logical_and(sites[-1] == n - 1, sites[0] > 0, out=hops[:, k])
+    wraps = np.flatnonzero(hops[:, k])
+    lex[wraps, k] = lex_rank(sites[:-1].take(wraps, axis=1).T - 1, n - 1)
+    flat = np.flatnonzero(hops)  # source-major, as np.nonzero exports
+    table = np.empty((3, len(flat)), dtype=ranks.dtype)
+    np.divmod(flat, k + 1, out=(table[0], table[2]))
+    np.take(_vertex_of(ranks), lex.ravel().take(flat), out=table[1], mode="clip")
+    np.equal(table[2], k, out=table[2])
     return QuantumBruhatGraph(params, states, ranks, table)
 
 
@@ -134,12 +138,12 @@ def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
     rank r are the (n-k)-subset of lex rank C(n,k)-1-r.  Every factor lies
     in (0, 1], so the vector is > 0."""
     k, n = graph.params.k, graph.params.n
-    sites = graph.states
+    columns = graph.states.T
     if 2 * k > n:
-        sites = k_subsets(n, n - k)[graph.params.rank - 1 - graph.ranks]
+        empty = graph.params.rank - 1 - graph.ranks
+        columns = k_subsets(n, n - k).T.take(empty, axis=1)
     sine = np.sin(np.pi * np.arange(n) / n)
-    columns = np.ascontiguousarray(sites.T)
-    vector = np.ones(len(sites))
+    vector = np.ones(columns.shape[1])
     for j in range(1, len(columns)):
         for i in range(j):  # one pair at a time: no (size, pairs) table
             vector *= sine.take(columns[j] - columns[i])

@@ -4,6 +4,10 @@ A partition is a plain tuple of exactly k weakly decreasing nonnegative
 integers with first part at most n-k.  The canonical ordering used for all
 matrix indexing is: graded by weight, lexicographically descending within
 each weight.
+
+Tables of sites are column-major, (k, rank) arrays seen as (rank, k), so
+each particle's sites are one contiguous row and every per-particle pass is
+one-dimensional.  Canonical order comes from a colex key (ring_states).
 """
 
 from __future__ import annotations
@@ -59,28 +63,31 @@ def banded_binomials(n: int, r: int) -> np.ndarray:
 
 
 def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
-    """Position of each sorted r-subset of range(n) (the last axis) in the
-    lexicographic list of all r-subsets: C(n,r) - 1 - sum_i C(n-1-a_i, r-i).
-    Only C(x, y) <= C(n,r) with x - y < n - r occur; the rest is zeroed, so
-    no table entry overflows int64."""
+    """Position of each sorted r-subset of range(n) (the last axis, of any
+    leading shape) in the lexicographic list of all r-subsets:
+    C(n,r) - 1 - sum_i C(n-1-a_i, r-i), one 1-D gather per position i, fast
+    on column-major input.  Only C(x, y) <= C(n,r) with x - y < n - r occur;
+    the rest is zeroed, so no table entry overflows int64."""
     r = subsets.shape[-1]
     binom = banded_binomials(n, r)
-    return comb(n, r) - 1 - binom[n - 1 - subsets, r - np.arange(r)].sum(axis=-1)
+    return np.full(subsets.shape[:-1], comb(n, r) - 1) - sum(
+        binom[:, r - i].take(n - 1 - subsets[..., i]) for i in range(r))
 
 
 def k_subsets(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as sorted rows, row i of lex rank i, filled
-    a column at a time: site b in column j-1 goes on with b+1, ..., n-r+j in
-    column j, and site a in column j heads C(n-1-a, r-1-j) rows (a >= j)."""
+    """All r-subsets of range(n) as sorted rows, row i of lex rank i: a
+    (r, C(n,r)) table filled a row at a time, returned transposed, so each
+    column .T[j] is contiguous.  Site b in column j-1 goes on with b+1, ...,
+    n-r+j in column j, and site a in column j heads C(n-1-a, r-1-j) rows."""
     binom = banded_binomials(n + 1, r)
-    rows = np.empty((comb(n, r), r), dtype=np.intp)
+    columns = np.empty((r, comb(n, r)), dtype=np.intp)
     last = np.full(1, -1, dtype=np.intp)
     for j in range(r):
         counts = n - r + j - last
         starts = np.cumsum(counts) - counts
         last = np.arange(counts.sum()) - np.repeat(starts - last - 1, counts)
-        rows[:, j] = np.repeat(last, binom[n - 1 - last, r - 1 - j])
-    return rows
+        columns[j] = np.repeat(last, binom[:, r - 1 - j].take(n - 1 - last))
+    return columns.T
 
 
 def lex_rotation(holds_last: np.ndarray) -> np.ndarray:
@@ -96,16 +103,19 @@ def ring_states(params: GrassmannianParams,
                 rank_cap: int = DEFAULT_RANK_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Each box partition lam as k particles on a ring of n sites, at the
     sorted sites S = {lam_j + k - j}: (states, ranks) in canonical order,
-    with the lex rank of each.  The rank cap is checked before enumerating."""
+    with the lex rank of each, states column-major.  Canonical order is
+    weight, then lam lex-descending: the reflected sites n-1-S in lex order,
+    of lex rank C(n,k) - 1 - colex(S) with colex(S) = sum_j C(s_j, j+1), so
+    the key is weight * C(n,k) - colex(S), one gather per column, and every
+    key is distinct.  The rank cap is checked before enumerating."""
     if params.rank > rank_cap:
         raise InstanceTooLargeError(
             f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {rank_cap}")
-    states = k_subsets(params.n, params.k)
-    # weight, then lam lex-descending: the sites from the top one down, each
-    # descending, which is the reflected sites n-1-S in lex order
-    ranks = np.argsort(states.sum(axis=1) * params.rank
-                       + lex_rank(params.n - 1 - states[:, ::-1], params.n))
-    return states[ranks], ranks
+    k, n = params.k, params.n
+    states = k_subsets(n, k)
+    weighted = params.rank * np.arange(n) - banded_binomials(n, k)[:, 1:].T
+    ranks = np.argsort(sum(weighted[j].take(states[:, j]) for j in range(k)))
+    return states.T.take(ranks, axis=1).T, ranks
 
 
 def partitions_of(states: np.ndarray) -> list[Partition]:

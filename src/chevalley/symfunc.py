@@ -113,8 +113,9 @@ def _minor_tables(params: GrassmannianParams):
     call).  The top level is m = min(k, n-k); perm takes the box partitions
     in canonical order to the top-level subsets, and sign is their factor.
     weights holds the exact integer |lam| = sum S - k(k-1)/2 of each box
-    partition and phases the n powers zeta^{-j}, zeta = e^{2 pi i / n}, that
-    turn an orbit's first eigenvector into the others.
+    partition and phases[m, g] = zeta^{-m g}, zeta = e^{2 pi i / n}, read
+    from the n powers at the integer m g mod n: row m takes each grade
+    |lam| = g of an orbit's first eigenvector to its m-th rotation.
 
     For k <= n/2 partition lam maps to its column set S = {lam_j + k - j}.
     Otherwise (complement) it maps to the complement of S, and sign is
@@ -140,7 +141,8 @@ def _minor_tables(params: GrassmannianParams):
         alt = (-1.0) ** (j - 1 + np.arange(j))
         work = np.empty((2,) + subsets.shape, dtype=complex)
         levels.append((subsets, child, alt, work))
-    phases = np.exp(-2j * np.pi * np.arange(n) / n)
+    phases = np.exp(-2j * np.pi * np.arange(n) / n)[
+        np.outer(np.arange(n), np.arange(params.dim + 1)) % n]
     return tuple(levels), perm, sign, m < k, weights, phases
 
 
@@ -171,14 +173,12 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     by coordinate, zeta = e^{2 pi i / n}.  One rotation multiplies every
     root z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
     s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
-    table of the n powers of zeta^{-1} at the integer m|lam| mod n, so no
-    error accumulates along the orbit.
+    per-grade table of the n powers of zeta^{-1} at the integer m|lam| mod
+    n (_minor_tables), so no error accumulates along the orbit.
     """
     rep, m = _orbit_start(I, params)
     *_, weights, phases = _minor_tables(params)
-    # the phase of each grade |lam| = 0..dim, then of each coordinate
-    by_grade = np.take(phases, m * np.arange(params.dim + 1), mode="wrap")
-    return by_grade.take(weights) * _laplace_expansion(rep, params)
+    return phases[m].take(weights) * _laplace_expansion(rep, params)
 
 
 @lru_cache(maxsize=1)

@@ -9,7 +9,7 @@ textbook description of the quantum Bruhat graph that the particle-hop
 construction must reproduce.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import mpmath
 import numpy as np
@@ -54,6 +54,17 @@ def covers_by_filter(lam, params):
         if sum(mu) == sum(lam) + 1 and all(a <= b for a, b in zip(lam, mu)):
             out.append(mu)
     return out
+
+
+def ring_states_by_sort(k, n):
+    """Sorted sites of the box partitions in canonical order and their lex
+    ranks: itertools.combinations, sorted by weight * C(n,k) plus the lex
+    position of the reflected sites n-1-S, read off the same list."""
+    rows = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    position = {row: i for i, row in enumerate(map(tuple, rows.tolist()))}
+    reflected = [position[row] for row in map(tuple, (n - 1 - rows[:, ::-1]).tolist())]
+    order = np.argsort(rows.sum(axis=1) * len(rows) + np.array(reflected))
+    return rows[order], order
 
 
 def strongly_connected_by_csgraph(matrix):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley.bruhat import build_graph
 from chevalley.combinatorics import (GrassmannianParams, dual_partition,
                                      enumerate_partitions, k_subsets, lex_rank,
-                                     lex_rotation)
+                                     lex_rotation, ring_states)
 from chevalley.errors import InstanceTooLargeError
 
-from oracles import covers, covers_by_filter, is_valid_partition, quantum_target
+from oracles import (covers, covers_by_filter, is_valid_partition,
+                     quantum_target, ring_states_by_sort)
 
 small_params = st.integers(2, 9).flatmap(
     lambda n: st.integers(1, n - 1).map(lambda k: GrassmannianParams(k, n)))
@@ -65,6 +67,46 @@ class TestLexRank:
         assert len(rows) == comb(n, r)
         assert list(map(tuple, rows.tolist())) == list(combinations(range(n), r))
         assert np.array_equal(lex_rank(rows, n), np.arange(comb(n, r)))
+
+    def test_stacked_input_ranks_each_row(self):
+        # the (C, j, j-1) stack of rows with one site dropped, as the
+        # Laplace expansion's child table is built
+        for n in range(1, 11):
+            for j in range(1, n + 1):
+                rows = k_subsets(n, j)
+                others = np.array([[q for q in range(j) if q != p]
+                                   for p in range(j)], dtype=np.intp).reshape(j, j - 1)
+                stacked = lex_rank(rows[:, others], n)
+                assert stacked.shape == (len(rows), j)
+                position = {c: i for i, c in enumerate(combinations(range(n), j - 1))}
+                want = [[position[tuple(row)] for row in rows[:, others[p]].tolist()]
+                        for p in range(j)]
+                assert stacked.T.tolist() == want
+
+    def test_empty_subset_has_rank_zero(self):
+        for n in range(6):
+            assert lex_rank(k_subsets(n, 0), n).tolist() == [0]
+
+
+class TestColumnLayout:
+    # guards the layout the graph build's one-dimensional passes rely on
+    @pytest.mark.parametrize("k,n", [(1, 5), (3, 7), (4, 8), (6, 9), (9, 10)])
+    def test_per_particle_columns_are_contiguous(self, k, n):
+        p = GrassmannianParams(k, n)
+        assert k_subsets(n, k).T.flags.c_contiguous
+        assert ring_states(p)[0].T.flags.c_contiguous
+        assert build_graph(p).states.T.flags.c_contiguous
+
+
+class TestRingStates:
+    def test_key_is_weight_then_reflected_lex_rank(self):
+        # the colex key on the whole small domain
+        for n in range(2, 13):
+            for k in range(1, n):
+                states, ranks = ring_states(GrassmannianParams(k, n))
+                want_states, want_ranks = ring_states_by_sort(k, n)
+                assert np.array_equal(states, want_states)
+                assert np.array_equal(ranks, want_ranks)
 
 
 class TestKSubsets:
