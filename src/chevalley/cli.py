@@ -4,12 +4,12 @@ Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error (including --tol outside (0, 1), a --grid-step, or an fk
 --x-min or --step, that is not finite and > 0, a non-finite fk --x-max, fk
---k < 1, --rank-cap < 2, and --max-iter or --shift < 0).  In verify,
---shift is the shift of the power steps that certify the matrix route's
-Collatz-Wielandt bracket (default n), and --max-iter caps their operator
-products (from the closed-form Perron vector one suffices).  A sweep row
-whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Every
-command runs in one process.
+--k < 1, --rank-cap < 2, --max-iter or --shift < 0, and a grid too large
+for memory).  In verify, --shift is the shift of the power steps that
+certify the matrix route's Collatz-Wielandt bracket (default n), and
+--max-iter caps their operator products (from the closed-form Perron vector
+one suffices).  A sweep row whose matrix route hits that cap gets the
+verdict NOT_CONVERGED.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ValueError, InstanceTooLargeError) as exc:
+    except (ValueError, InstanceTooLargeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CrossCheckError, IterationFailureError) as exc:

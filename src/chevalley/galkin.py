@@ -5,12 +5,14 @@ delta0 for Gr(k,n) has two closed forms: the sine ratio n*sin(pi k/n)/sin(pi/n)
 and an even/odd cosine sum.  F^k(x) = delta0^k(x) - k(x-k) - 1 measures the
 gap over the bound dim+1; its nonnegativity at integer points is the bound.
 These formulas apply elementwise to numpy arrays, so each grid-sampled lemma
-check is one comparison over an integer-indexed grid.
+check is one comparison over an integer-indexed grid; the second-proof lemma's
+grid is a (rows, width) block whose sines come by angle addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from numpy import cos, pi, sin
@@ -20,19 +22,22 @@ from .combinatorics import GrassmannianParams
 TAU_NUM = 1e-9  # slack for grid-sampled inequality checks
 
 
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    if (count := np.floor((hi - lo) / step + 1e-9) + 1) > 2 ** 53:  # beyond memory
+        raise MemoryError(f"a grid of {count:.3g} points does not fit in memory")
+    return int(count)
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + i*step for i = 0 .. floor((hi - lo)/step), indexed so no sum drifts."""
-    return lo + step * np.arange(np.floor((hi - lo) / step + 1e-9) + 1)
+    return lo + step * np.arange(_grid_count(lo, hi, step))
 
 
-def delta0_sine(k: int, x: float, out: np.ndarray | None = None) -> float:
+def delta0_sine(k: int, x: float) -> float:
     """x * (sin(pi m / x) / sin(pi / x)) with m = min(k, x - k), real x: no
     angle near pi, where float sin loses relative accuracy, and exactly x for
-    m = 1.  Accurate for x up to ~1e12 (sin(pi/x) underflows).  An array `out`
-    (k itself, say) takes every elementwise step but one subtraction."""
-    angle = np.multiply(pi, np.minimum(k, x - k, out=out), out=out)
-    s = sin(np.divide(angle, x, out=out), out=out)
-    return np.multiply(x, np.divide(s, sin(pi / x), out=out), out=out)
+    m = 1.  Accurate for x up to ~1e12 (sin(pi/x) underflows)."""
+    return x * (sin(pi * np.minimum(k, x - k) / x) / sin(pi / x))
 
 
 def _cosine_terms(k: int, x: float) -> float:
@@ -90,13 +95,20 @@ def verify_galkin(params: GrassmannianParams) -> GalkinReport:
 
 
 def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
-    """Sine-form delta0(x) >= x(n-x)+1 sampled on [3, n/2]."""
+    """Sine-form delta0(x) >= x(n-x)+1 = n^2/4+1-(x-n/2)^2 at _grid(3, n/2), up to
+    rounding: x = head[q] + tail[r] in a (rows, width) block, sin by angle addition."""
     if n < 6:
         raise ValueError("lemma requires n >= 6")
-    x = _grid(3.0, n / 2, grid_step)
-    bound = x * (n - x) + 1.0 - TAU_NUM
-    # delta0 in place over x: fewer fresh pages once glibc trims the heap
-    return bool(np.all(delta0_sine(x, n, out=x) >= bound))
+    count = _grid_count(3.0, n / 2, grid_step)
+    width = isqrt(count - 1) + 1
+    delta, square = np.empty((2, -(-count // width), width))
+    head = 3.0 + grid_step * width * np.arange(len(delta))
+    tail = grid_step * np.arange(width)
+    a, b, scale = pi * head / n, pi * tail / n, n / sin(pi / n)
+    np.multiply((scale * sin(a))[:, None], cos(b), out=delta)
+    delta += np.multiply((scale * cos(a))[:, None], sin(b), out=square)
+    delta += np.square(np.add((head - n / 2)[:, None], tail, out=square), out=square)
+    return bool(np.all(delta.ravel()[:count] >= n * n / 4 + 1.0 - TAU_NUM))
 
 
 def check_k2_inequality(n: int) -> bool:

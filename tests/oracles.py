@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
+from chevalley import galkin
 from chevalley.combinatorics import enumerate_partitions
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
@@ -118,6 +119,15 @@ def fk_second_difference(k, x, h=1e-5):
         val = (fk_mp(k, mpmath.mpf(x) + h) - 2 * fk_mp(k, x)
                + fk_mp(k, mpmath.mpf(x) - h)) / h ** 2
         return float(val)
+
+
+def second_proof_lemma_by_grid(n, step):
+    """The second-proof lemma one point at a time: the sine form delta0_sine(x, n)
+    at every point of _grid(3, n/2, step) against x(n-x)+1, less galkin's
+    TAU_NUM as it reads when called."""
+    x = galkin._grid(3.0, n / 2, step)
+    bound = x * (n - x) + 1.0 - galkin.TAU_NUM
+    return bool(np.all(galkin.delta0_sine(x, n) >= bound))
 
 
 def schur_brute(lam, x):

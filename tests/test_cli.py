@@ -336,6 +336,15 @@ class TestInequalities:
         assert code == 2
         assert out == "" and "--grid-step" in err
 
+    @pytest.mark.parametrize("step", ["1e-12", "1e-320"])
+    def test_oversized_grid_is_a_usage_error(self, step):
+        # 1e-12 asks numpy for a 7.3 TiB block at n = 7, refused before any
+        # page is touched (it once ended in a traceback with exit 1, the code
+        # of a failed check); at 1e-320 the point count is inf
+        code, out, err = run_cli("inequalities", "--n-max", "8", "--grid-step", step)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_grid_step(self, value):
         # inf once ended as "FAIL second_proof_lemma(n=6)", exit 1

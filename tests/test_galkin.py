@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import galkin
 from chevalley.combinatorics import GrassmannianParams
-from oracles import fk_second_difference
+from oracles import fk_second_difference, second_proof_lemma_by_grid
 from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
                               check_k2_inequality, check_limit,
                               check_second_proof_lemma, delta0_cosine_sum,
                               delta0_sine, fk, fk_second_derivative, fk_table,
-                              verify_galkin, _grid)
+                              verify_galkin, _grid, _grid_count)
+
+LEMMA_STEPS = [0.01, 0.37, 2.5, 1e9]  # 1e9: the one-point grid x = 3
 
 RNG = np.random.default_rng(7)
 
@@ -159,6 +162,39 @@ class TestLemmaChecks:
             assert check_second_proof_lemma(n, 0.01)
         with pytest.raises(ValueError):
             check_second_proof_lemma(5)
+
+    @pytest.mark.parametrize("step", LEMMA_STEPS)
+    def test_second_proof_lemma_matches_the_pointwise_oracle(self, step):
+        for n in range(6, 401):
+            ok = second_proof_lemma_by_grid(n, step)
+            assert check_second_proof_lemma(n, step) == ok, n
+
+    def test_second_proof_lemma_fails_where_the_oracle_does(self, monkeypatch):
+        # TAU_NUM = -5 asks every grid point for a margin of at least 5, which
+        # some n in 6..99 have and others lack; no n has a margin of 8.5
+        ns = range(6, 100)
+        monkeypatch.setattr(galkin, "TAU_NUM", -5.0)
+        passing = {n for n in ns if check_second_proof_lemma(n)}
+        assert passing == {n for n in ns if second_proof_lemma_by_grid(n, 0.01)}
+        assert 0 < len(passing) < len(ns)
+        monkeypatch.setattr(galkin, "TAU_NUM", -8.5)
+        assert not any(check_second_proof_lemma(n) for n in ns)
+
+    def test_second_proof_lemma_takes_sqrt_count_sines(self, monkeypatch):
+        # 19 701 points at n = 400 in a 140 x 141 block: sin and cos of each
+        # row and column angle, and sin(pi/n)
+        sizes = []
+        for name in ("sin", "cos"):
+            f = getattr(galkin, name)
+            monkeypatch.setattr(galkin, name,
+                                lambda x, f=f: sizes.append(np.size(x)) or f(x))
+        assert check_second_proof_lemma(400)
+        assert sum(sizes) == 2 * (140 + 141) + 1
+
+    @pytest.mark.parametrize("step", LEMMA_STEPS)
+    def test_grid_count_is_the_grid_length(self, step):
+        for n in range(6, 61):
+            assert _grid_count(3.0, n / 2, step) == len(_grid(3.0, n / 2, step))
 
     def test_lemma_grid_reaches_n_over_2(self):
         for n in range(6, 401):
