@@ -12,18 +12,19 @@ bialternant numerators behind rietsch_eigenvector, the k x k minors of the
 matrix (z_i^c) computed by Laplace expansion.  That expansion runs once per
 orbit of the ring rotation I -> I+ (every doubled exponent +2, wrapping past
 2n-k-1 by -2n): the orbit's other eigenvectors are its first one times the
-exact phases zeta^{-m |lam|}, zeta = e^{2 pi i / n}.
+exact phases zeta^{-m |lam|}, zeta = e^{2 pi i / n}.  The index set, its
+rotation and each orbit's start are one lex table of k-subsets (_index_table).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .combinatorics import (GrassmannianParams, Partition, enumerate_partitions,
-                            k_subsets, lex_rank, ring_states)
+                            k_subsets, lex_rank, lex_rotation, ring_states)
 
 SpectralIndex = tuple[int, ...]  # doubled exponents, strictly increasing
 
@@ -34,12 +35,28 @@ def enumerate_indices(params: GrassmannianParams) -> list[SpectralIndex]:
     Doubled values run over -(k-1), -(k-1)+2, ..., 2n-(k+1): exactly n
     candidates of the correct parity, from which k distinct are chosen.
     """
-    return [tuple(c) for c in combinations(_index_pool(params), params.k)]
+    subsets = _index_table(params)[0]
+    return list(zip(*(2 * subsets.T - (params.k - 1)).tolist()))
 
 
-def _index_pool(params: GrassmannianParams) -> range:
-    k, n = params.k, params.n
-    return range(-(k - 1), 2 * n - (k + 1) + 1, 2)
+@lru_cache(maxsize=1)
+def _index_table(params: GrassmannianParams):
+    """(subsets, rotation, start, m) per index, in lex order: its pool
+    positions a = (d + k - 1)/2, the position of I+ (every particle one site
+    on around the ring), the position of its orbit's lex-least member R and
+    the least m with I = R rotated m times.  A running minimum over I rotated
+    j = 1..n times: R rotated n - j times is I, so the last tie is least m."""
+    n = params.n
+    subsets = k_subsets(n, params.k)
+    rotation = lex_rotation(subsets[:, -1] == n - 1)
+    start = pos = np.arange(params.rank)
+    m = np.zeros(params.rank, dtype=np.intp)
+    for j in range(1, n + 1):
+        pos = rotation[pos]
+        least = pos <= start
+        start = np.where(least, pos, start)
+        m[least] = n - j
+    return subsets, rotation, start, m
 
 
 def central_index(params: GrassmannianParams) -> SpectralIndex:
@@ -146,23 +163,6 @@ def _minor_tables(params: GrassmannianParams):
     return tuple(levels), perm, sign, m < k, weights, phases
 
 
-def _orbit_start(I: SpectralIndex, params: GrassmannianParams):
-    """(R, m): the lex-least rotation R of I and the m with I = R rotated m
-    times, rotation moving every particle one site on around the ring.
-
-    R holds the pool's first exponent -(k-1), so it is the least of the k
-    rotations that move one element of I there.  Each candidate's exponents
-    are running sums of I's cyclic gaps from that element on, so comparing
-    the gap sequences compares the candidates; for an orbit of period p
-    every p-th candidate ties.
-    """
-    k, n = params.k, params.n
-    gaps = [b - a for a, b in zip(I, I[1:])] + [I[0] + 2 * n - I[-1]]
-    j = min(range(k), key=lambda j: gaps[j:] + gaps[:j])
-    rep = tuple(sorted((d - I[j]) % (2 * n) - (k - 1) for d in I))
-    return rep, (I[j] + k - 1) // 2
-
-
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
     """Coordinate vector of the eigenbasis element labeled by I: the
     conjugated Schur values over all box partitions in canonical order.
@@ -174,17 +174,27 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     root z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
     s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
     per-grade table of the n powers of zeta^{-1} at the integer m|lam| mod
-    n (_minor_tables), so no error accumulates along the orbit.
+    n (_minor_tables), so no error accumulates along the orbit.  R and m
+    are read from _index_table at I's lex position (lex_rank's comb sum);
+    ValueError unless I is a strictly increasing k-tuple from the pool.
     """
-    rep, m = _orbit_start(I, params)
+    k, n = params.k, params.n
+    pool = range(-(k - 1), 2 * n - k, 2)
+    if len(I) != k or any(d not in pool for d in I) or any(
+            a >= b for a, b in zip(I, I[1:])):
+        raise ValueError(f"{I} is not a strictly increasing {k}-tuple from {pool}")
+    pos = params.rank - 1 - sum(comb(n - 1 - (d + k - 1) // 2, k - i)
+                                for i, d in enumerate(I))
+    _, _, start, m = _index_table(params)
     *_, weights, phases = _minor_tables(params)
-    return phases[m].take(weights) * _laplace_expansion(rep, params)
+    v = _laplace_expansion(int(start[pos]), params)
+    return phases[m[pos]].take(weights) * v
 
 
 @lru_cache(maxsize=1)
-def _laplace_expansion(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
-    """rietsch_eigenvector at I by the bialternant, read-only and cached for
-    the next call, which is the next member of I's orbit in an orbit walk.
+def _laplace_expansion(pos: int, params: GrassmannianParams) -> np.ndarray:
+    """rietsch_eigenvector at the index I of lex position pos by the
+    bialternant, read-only and cached for the rest of I's orbit in a walk.
 
     s_lam(z) is the bialternant det(z_i^{lam_j + k - j}) / det(z_i^{k-j}).
     All numerators at z = zeta^I are the k x k minors of the k x n matrix
@@ -194,10 +204,11 @@ def _laplace_expansion(I: SpectralIndex, params: GrassmannianParams) -> np.ndarr
     instead (see _minor_tables), so no level exceeds min(k, n-k) rows.
     """
     levels, perm, sign, complement, _, _ = _minor_tables(params)
-    n = params.n
-    d = np.asarray(I)
+    k, n = params.k, params.n
+    top = levels[-1][0]  # complement reverses lex order; conjugate its roots
+    d = 2 * top[params.rank - 1 - pos if complement else pos] - (k - 1)
     if complement:
-        d = -np.setdiff1d(_index_pool(params), d)
+        d = -d
     # z^c with the exponent reduced mod 2n, so large n loses no accuracy
     powers = np.exp(1j * np.pi * (np.outer(d, np.arange(n)) % (2 * n)) / n)
     minors = np.ones(1, dtype=complex)

@@ -8,11 +8,12 @@ from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
 from chevalley import spectral, symfunc
 from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
-                                _power_iteration, _rotation, c1_operator,
+                                _power_iteration, c1_operator,
                                 eigen_residual, principal_eigenvalue,
                                 property_o_check, spectral_report,
                                 spectrum_closed_form)
-from chevalley.symfunc import enumerate_indices, rietsch_eigenvector, roots_tuple
+from chevalley.symfunc import (_index_table, enumerate_indices,
+                               rietsch_eigenvector, roots_tuple)
 
 from oracles import multiset_invariant_under, shifted
 
@@ -197,7 +198,7 @@ class TestClosedFormSpectrum:
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
                 want = [n * np.sum(roots_tuple(I, p)) for I in enumerate_indices(p)]
-                assert np.allclose(spectrum_closed_form(p), want, rtol=0, atol=1e-12)
+                assert np.array_equal(spectrum_closed_form(p), want)
 
     def test_length_is_rank(self):
         for n in range(2, 10):
@@ -220,6 +221,13 @@ class TestEigenResidual:
         op = c1_operator(p)
         for I in enumerate_indices(p):
             assert eigen_residual(I, p, op) < 1e-9
+
+    @pytest.mark.parametrize("I", [(0, 2), (-1, 1, 3), (1, 1), (9, 11),
+                                   (1, -1), (7, 9)])
+    def test_rejects_a_tuple_that_is_not_an_index(self, I):
+        p = GrassmannianParams(2, 5)
+        with pytest.raises(ValueError):
+            eigen_residual(I, p, c1_operator(p))
 
     @pytest.mark.parametrize("k,n", [(29, 30), (28, 30), (7, 12)])
     def test_all_indices(self, k, n):
@@ -267,7 +275,7 @@ class TestPropertyO:
         for n in range(2, 11):
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
-                rot = _rotation(p)
+                rot = _index_table(p)[1]
                 assert sorted(rot.tolist()) == list(range(p.rank))
                 indices = enumerate_indices(p)
                 assert [indices[r] for r in rot] == [shifted(I, n) for I in indices]

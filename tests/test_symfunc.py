@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.combinatorics import GrassmannianParams, enumerate_partitions
-from chevalley.symfunc import (_orbit_start, central_index, enumerate_indices,
+from chevalley.symfunc import (_index_table, central_index, enumerate_indices,
                                homogeneous_table, rietsch_eigenvector,
                                roots_tuple, schur_eval, schur_values_box)
 
@@ -155,14 +155,25 @@ class TestRietschEigenvector:
         for n in range(2, 11):
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
-                for I in enumerate_indices(p):
+                indices = enumerate_indices(p)
+                _, _, start, m = _index_table(p)
+                for I, s, m_I in zip(indices, start, m):
                     orbit = [I]
                     while (nxt := shifted(orbit[-1], n)) != I:
                         orbit.append(nxt)
-                    rep, m = _orbit_start(I, p)
+                    rep = indices[s]
                     assert rep == min(orbit)
-                    # I is R rotated m times, and orbit[j] is I rotated j times
-                    assert (orbit.index(rep) + m) % len(orbit) == 0
+                    # I is R rotated m times, orbit[j] is I rotated j times,
+                    # and m is the least such, below the orbit's period
+                    assert (orbit.index(rep) + m_I) % len(orbit) == 0
+                    assert 0 <= m_I < len(orbit)
+
+    @pytest.mark.parametrize("I", [(0, 2), (-1, 1, 3), (1, 1), (9, 11),
+                                   (1, -1), (7, 9)])
+    def test_rejects_a_tuple_that_is_not_an_index(self, I):
+        # Gr(2,5) indices are strictly increasing pairs from -1, 1, 3, 5, 7
+        with pytest.raises(ValueError):
+            rietsch_eigenvector(I, GrassmannianParams(2, 5))
 
     def test_never_zero(self):
         for n in range(2, 8):
