@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import galkin as gk
 from . import spectral as sp_mod
@@ -194,6 +195,7 @@ _max_iter = _checked(int, lambda v: v >= 0, "a cap >= 0")
 _shift = _checked(float, lambda v: v >= 0, "a shift >= 0")
 
 
+@cache  # argparse parsers hold no per-call state; main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chevalley",
@@ -246,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

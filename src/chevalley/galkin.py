@@ -6,7 +6,7 @@ and an even/odd cosine sum.  F^k(x) = delta0^k(x) - k(x-k) - 1 measures the
 gap over the bound dim+1; its nonnegativity at integer points is the bound.
 These formulas apply elementwise to numpy arrays, so each grid-sampled lemma
 check is one comparison over an integer-indexed grid; the second-proof lemma's
-grid is a (rows, width) block whose sines come by angle addition.
+grid is a (rows, width) block whose margins are one rank-5 matrix product.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ TAU_NUM = 1e-9  # slack for grid-sampled inequality checks
 def _grid_count(lo: float, hi: float, step: float) -> int:
     if (count := np.floor((hi - lo) / step + 1e-9) + 1) > 2 ** 53:  # beyond memory
         raise MemoryError(f"a grid of {count:.3g} points does not fit in memory")
+    if count < 1:
+        raise ValueError("empty grid range")
     return int(count)
 
 
@@ -95,20 +97,19 @@ def verify_galkin(params: GrassmannianParams) -> GalkinReport:
 
 
 def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
-    """Sine-form delta0(x) >= x(n-x)+1 = n^2/4+1-(x-n/2)^2 at _grid(3, n/2), up to
-    rounding: x = head[q] + tail[r] in a (rows, width) block, sin by angle addition."""
+    """delta0(x) >= x(n-x)+1 on _grid(3, n/2) up to rounding.  The margin at x =
+    head[q] + tail[r], delta0 + (x-n/2)^2 - n^2/4 - 1, is (left @ right)[q, r]."""
     if n < 6:
         raise ValueError("lemma requires n >= 6")
     count = _grid_count(3.0, n / 2, grid_step)
     width = isqrt(count - 1) + 1
-    delta, square = np.empty((2, -(-count // width), width))
-    head = 3.0 + grid_step * width * np.arange(len(delta))
+    head = 3.0 + grid_step * width * np.arange(-(-count // width))
     tail = grid_step * np.arange(width)
-    a, b, scale = pi * head / n, pi * tail / n, n / sin(pi / n)
-    np.multiply((scale * sin(a))[:, None], cos(b), out=delta)
-    delta += np.multiply((scale * cos(a))[:, None], sin(b), out=square)
-    delta += np.square(np.add((head - n / 2)[:, None], tail, out=square), out=square)
-    return bool(np.all(delta.ravel()[:count] >= n * n / 4 + 1.0 - TAU_NUM))
+    a, b, e, scale = pi * head / n, pi * tail / n, head - n / 2, n / sin(pi / n)
+    left = np.stack([scale * sin(a), scale * cos(a), 2 * e, np.ones_like(e),
+                     e * e - n * n / 4 - 1], axis=1)
+    right = np.stack([cos(b), sin(b), tail, tail * tail, np.ones_like(b)])
+    return bool((left @ right).ravel()[:count].min() >= -TAU_NUM)
 
 
 def check_k2_inequality(n: int) -> bool:
@@ -151,6 +152,4 @@ def fk_table(k: int, x_min: float, x_max: float,
     if x_min <= 0 or step <= 0:
         raise ValueError("need x_min > 0 and step > 0")
     x = _grid(x_min, x_max, step)
-    if not len(x):
-        raise ValueError("empty grid range")
     return list(zip(x.tolist(), fk(k, x).tolist()))

@@ -320,6 +320,13 @@ class TestFk:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_grid_count_of_minus_inf_exits_2(self):
+        # (x_max - x_min) / step is -inf: once an OverflowError traceback, exit 1
+        code, out, err = run_cli("fk", "--k", "2", "--x-min", "1",
+                                 "--x-max=-1e308", "--step", "1e-10")
+        assert code == 2
+        assert out == "" and err == "error: empty grid range\n"
+
 
 class TestInequalities:
     def test_minimal(self):
@@ -344,6 +351,12 @@ class TestInequalities:
         code, out, err = run_cli("inequalities", "--n-max", "8", "--grid-step", step)
         assert code == 2
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_usage_error_leaves_the_next_call_unaffected(self):
+        # main reuses one parser across calls
+        assert run_cli("inequalities", "--n-max", "8", "--grid-step", "0")[0] == 2
+        assert run_cli("inequalities", "--n-max", "6") == (
+            0, "all 36 inequality checks passed\n", "")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_grid_step(self, value):

@@ -157,6 +157,14 @@ class TestLemmaChecks:
         for k in range(2, 13):
             assert check_concavity_monotonicity(k)
 
+    def test_concavity_monotonicity_on_an_empty_grid_raises(self):
+        # the grid starts at 2(k-1) + step, past x_max here; np.all([]) once
+        # passed both checks
+        with pytest.raises(ValueError, match="empty grid range"):
+            check_concavity_monotonicity(60)
+        with pytest.raises(ValueError, match="empty grid range"):
+            check_concavity_monotonicity(2, x_max=1.0)
+
     def test_second_proof_lemma(self):
         for n in (6, 12, 20, 60):
             assert check_second_proof_lemma(n, 0.01)
@@ -179,6 +187,19 @@ class TestLemmaChecks:
         assert 0 < len(passing) < len(ns)
         monkeypatch.setattr(galkin, "TAU_NUM", -8.5)
         assert not any(check_second_proof_lemma(n) for n in ns)
+
+    @pytest.mark.parametrize("step", LEMMA_STEPS[:3])
+    def test_second_proof_lemma_brackets_the_least_margin(self, monkeypatch, step):
+        # m is the pointwise least margin; TAU_NUM = -(m -+ 1e-8) asks every
+        # point for a margin of m -+ 1e-8, so passing the lower ask and failing
+        # the upper one puts the check's least margin within 1e-8 of m
+        for n in range(6, 401):
+            x = _grid(3.0, n / 2, step)
+            m = float(np.min(delta0_sine(x, n) - x * (n - x) - 1.0))
+            monkeypatch.setattr(galkin, "TAU_NUM", -(m - 1e-8))
+            assert check_second_proof_lemma(n, step), n
+            monkeypatch.setattr(galkin, "TAU_NUM", -(m + 1e-8))
+            assert not check_second_proof_lemma(n, step), n
 
     def test_second_proof_lemma_takes_sqrt_count_sines(self, monkeypatch):
         # 19 701 points at n = 400 in a 140 x 141 block: sin and cos of each
