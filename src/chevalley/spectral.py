@@ -9,8 +9,8 @@ v > 0, so the start only sets the number of products (one, when it is
 exact), never the value.  The full spectrum is the closed form n*S_(1) over
 the index table symfunc._index_table, and every closed-form eigenpair is
 validated by residual against the built operator, orbit by orbit of its
-rotation I -> I+, so that symfunc.rietsch_eigenvector expands once per
-orbit; a wrong phase shows up as a residual.
+rotation I -> I+, so that symfunc.rietsch_eigenvector takes one stacked
+determinant per orbit; a wrong phase shows up as a residual.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def _eigen_residuals(params: GrassmannianParams,
                      operator: IncidenceOperator) -> np.ndarray:
     """eigen_residual of every index, in enumerate_indices order, walked
     stably sorted by _index_table's orbit starts: each orbit stays together,
-    so rietsch_eigenvector expands once at its lex-least member and reaches
-    the others by phases.  The index list is freed before property O."""
+    so rietsch_eigenvector computes its lex-least member's vector once and
+    reaches the others by phases.  The index list is freed before property O."""
     indices = enumerate_indices(params)
     residuals = np.empty(params.rank)
     for pos in np.argsort(_index_table(params)[2], kind="stable").tolist():

@@ -9,11 +9,15 @@ Two independent evaluators are kept: Jacobi-Trudi determinants
 (schur_eval, schur_values_box), one masked assembly over a table of complete
 homogeneous polynomials, which serve the Schur route and the tests, and the
 bialternant numerators behind rietsch_eigenvector, the k x k minors of the
-matrix (z_i^c) computed by Laplace expansion.  That expansion runs once per
-orbit of the ring rotation I -> I+ (every doubled exponent +2, wrapping past
-2n-k-1 by -2n): the orbit's other eigenvectors are its first one times the
-exact phases zeta^{-m |lam|}, zeta = e^{2 pi i / n}.  The index set, its
-rotation and each orbit's start are one lex table of k-subsets (_index_table).
+matrix (z_i^c).  Indices and box partitions are both k-subsets of n ring
+sites under one rotation (every doubled exponent +2, wrapping past 2n-k-1
+by -2n; every site one on), so one lex table of k-subsets (_index_table)
+holds the index set, its rotation and each orbit's start for both.  Per
+orbit of indices one stacked determinant over the first members of the
+partitions' orbits gives the minors; the rest follow by exact phases: the
+orbit's other eigenvectors are its first one times zeta^{-m |lam|}, zeta =
+e^{2 pi i / n}, and a partition's other minors its first one times
+(prod z)^m.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .combinatorics import (GrassmannianParams, Partition, enumerate_partitions,
-                            k_subsets, lex_rank, lex_rotation, ring_states)
+                            k_subsets, lex_rotation, ring_states)
 
 SpectralIndex = tuple[int, ...]  # doubled exponents, strictly increasing
 
@@ -118,63 +122,47 @@ def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
     return _jacobi_trudi(_box_exponents(params), x)
 
 
-@lru_cache(maxsize=64)
-def _minor_tables(params: GrassmannianParams):
-    """Index tables of the Laplace expansion behind rietsch_eigenvector.
+@lru_cache(maxsize=1)
+def _vertex_tables(params: GrassmannianParams):
+    """Tables of the determinants behind rietsch_eigenvector.
 
-    Returns (levels, perm, sign, complement, weights, phases).  Level j lists
-    the j-subsets T of range(n) lexicographically as (col, child, alt, work):
-    col[T, p] = T[p], child[T, p] the rank of T without T[p] one level down,
-    alt[p] the cofactor sign (-1)^{j-1+p} of expanding along row j-1, and
-    work scratch every call overwrites (fresh arrays regrow the heap per
-    call).  The top level is m = min(k, n-k); perm takes the box partitions
-    in canonical order to the top-level subsets, and sign is their factor.
-    weights holds the exact integer |lam| = sum S - k(k-1)/2 of each box
-    partition and phases[m, g] = zeta^{-m g}, zeta = e^{2 pi i / n}, read
-    from the n powers at the integer m g mod n: row m takes each grade
-    |lam| = g of an orbit's first eigenvector to its m-th rotation.
-
-    For k <= n/2 partition lam maps to its column set S = {lam_j + k - j}.
-    Otherwise (complement) it maps to the complement of S, and sign is
-    (-1)^{|lam|}: the n x n matrix (w_a^c) over all n candidate roots w_a is
-    sqrt(n) times a unitary (a twisted DFT), so by Jacobi's
-    complementary-minor identity minor(I, S) is, up to a factor fixed by I,
-    (-1)^{sum S} conj(minor(I^c, S^c)), and sum S = |lam| + sum S_empty.
+    Returns (columns, orbit, turns, weights, phases).  The vertices, box
+    partitions lam at their sites S = {lam_j + k - j}, are k-subsets of the
+    n ring sites under the same rotation as the indices, so _index_table
+    holds their orbits too: columns lists the sites of each orbit's lex-least
+    member (for k > n/2 the n-k empty sites, complement reversing lex order),
+    and the box partition at canonical position c is the member of row
+    orbit[c] rotated turns[c] times.  weights holds the exact integer
+    |lam| = sum S - k(k-1)/2 of each box partition and phases[m, g] =
+    zeta^{-m g}, zeta = e^{2 pi i / n}, read from the n powers at the
+    integer m g mod n: row m takes each grade |lam| = g of an orbit's first
+    eigenvector to its m-th rotation.
     """
     k, n = params.k, params.n
-    m = min(k, n - k)
-    states, perm = ring_states(params)
+    subsets, _, start, m = _index_table(params)
+    states, lex = ring_states(params)
+    reps = np.flatnonzero(start == np.arange(params.rank))
+    columns = (k_subsets(n, n - k)[params.rank - 1 - reps] if 2 * k > n
+               else subsets[reps])
+    orbit = np.searchsorted(reps, start[lex])
     weights = states.sum(axis=1) - k * (k - 1) // 2
-    sign = np.ones(len(perm))
-    if m < k:  # complement reverses lex order
-        perm = params.rank - 1 - perm
-        sign = (-1.0) ** weights
-    levels = []
-    for j in range(1, m + 1):
-        subsets = k_subsets(n, j)
-        others = np.array([[q for q in range(j) if q != p] for p in range(j)],
-                          dtype=np.intp).reshape(j, j - 1)
-        child = lex_rank(subsets[:, others], n)
-        alt = (-1.0) ** (j - 1 + np.arange(j))
-        work = np.empty((2,) + subsets.shape, dtype=complex)
-        levels.append((subsets, child, alt, work))
     phases = np.exp(-2j * np.pi * np.arange(n) / n)[
         np.outer(np.arange(n), np.arange(params.dim + 1)) % n]
-    return tuple(levels), perm, sign, m < k, weights, phases
+    return columns, orbit, m[lex], weights, phases
 
 
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
     """Coordinate vector of the eigenbasis element labeled by I: the
     conjugated Schur values over all box partitions in canonical order.
 
-    The vector is computed once per rotation orbit (_laplace_expansion, at
-    the orbit's lex-least member R) and reached from there by an exact
-    phase: if I is R rotated m times, v_I = zeta^{-m |lam|} * v_R coordinate
-    by coordinate, zeta = e^{2 pi i / n}.  One rotation multiplies every
-    root z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
+    The vector is computed once per rotation orbit (_orbit_vector, at the
+    orbit's lex-least member R) and reached from there by an exact phase:
+    if I is R rotated m times, v_I = zeta^{-m |lam|} * v_R coordinate by
+    coordinate, zeta = e^{2 pi i / n}.  One rotation multiplies every root
+    z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
     s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
     per-grade table of the n powers of zeta^{-1} at the integer m|lam| mod
-    n (_minor_tables), so no error accumulates along the orbit.  R and m
+    n (_vertex_tables), so no error accumulates along the orbit.  R and m
     are read from _index_table at I's lex position (lex_rank's comb sum);
     ValueError unless I is a strictly increasing k-tuple from the pool.
     """
@@ -186,37 +174,43 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     pos = params.rank - 1 - sum(comb(n - 1 - (d + k - 1) // 2, k - i)
                                 for i, d in enumerate(I))
     _, _, start, m = _index_table(params)
-    *_, weights, phases = _minor_tables(params)
-    v = _laplace_expansion(int(start[pos]), params)
+    *_, weights, phases = _vertex_tables(params)
+    v = _orbit_vector(int(start[pos]), params)
     return phases[m[pos]].take(weights) * v
 
 
 @lru_cache(maxsize=1)
-def _laplace_expansion(pos: int, params: GrassmannianParams) -> np.ndarray:
+def _orbit_vector(pos: int, params: GrassmannianParams) -> np.ndarray:
     """rietsch_eigenvector at the index I of lex position pos by the
     bialternant, read-only and cached for the rest of I's orbit in a walk.
 
-    s_lam(z) is the bialternant det(z_i^{lam_j + k - j}) / det(z_i^{k-j}).
-    All numerators at z = zeta^I are the k x k minors of the k x n matrix
-    (z_i^c); they come from one Laplace expansion, row by row, and are
-    divided by the empty partition's coordinate, the Vandermonde.  For
-    k > n/2 the expansion runs on the n-k conjugated complementary roots
-    instead (see _minor_tables), so no level exceeds min(k, n-k) rows.
+    s_lam(z) is the bialternant det(z_i^{s_j}) / det(z_i^{j-1}) over the
+    sorted sites S of lam, z = zeta^I.  Rotating S one site on multiplies
+    the numerator by prod z exactly: the wrapped column gains z^n =
+    (-1)^{k-1} and passes k-1 columns.  So one stacked determinant over
+    the vertex orbits' first members (_vertex_tables) gives every
+    numerator, times (prod z)^turns read at the integer turns * sum d mod
+    2n, and they are divided by the empty partition's, the Vandermonde.
+    For k > n/2 the determinants run on the n-k complementary roots
+    instead, so none exceeds min(k, n-k) rows: the n x n matrix (w_a^c)
+    over all n candidate roots w_a is sqrt(n) times a unitary (a twisted
+    DFT), so by Jacobi's complementary-minor identity minor(I, S) is, up to
+    a factor fixed by I, (-1)^{sum S} conj(minor(I^c, S^c)).  The roots are
+    conjugated and negated, -conj(w) = zeta^{(n - d)/2}: the negation turns
+    (-1)^{sum S} into a factor fixed by I and cancels the (-1)^n each wrap
+    of the n-k complementary columns would add.
     """
-    levels, perm, sign, complement, _, _ = _minor_tables(params)
+    columns, orbit, turns, _, _ = _vertex_tables(params)
     k, n = params.k, params.n
-    top = levels[-1][0]  # complement reverses lex order; conjugate its roots
-    d = 2 * top[params.rank - 1 - pos if complement else pos] - (k - 1)
-    if complement:
-        d = -d
-    # z^c with the exponent reduced mod 2n, so large n loses no accuracy
-    powers = np.exp(1j * np.pi * (np.outer(d, np.arange(n)) % (2 * n)) / n)
-    minors = np.ones(1, dtype=complex)
-    for z, (col, child, alt, work) in zip(powers, levels):
-        terms = np.take(z, col, out=work[0], mode="clip")  # "raise" buffers out
-        terms *= np.take(minors, child, out=work[1], mode="clip")
-        minors = terms @ alt
-    v = sign * minors[perm]
+    sites = _index_table(params)[0][pos]
+    d = (n + k - 1 - 2 * np.setdiff1d(np.arange(n), sites) if 2 * k > n
+         else 2 * sites - (k - 1))
+    unit = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    # z_i^c at c d_i mod 2n, so large n loses no accuracy; row c of powers
+    # is site c, so powers[columns] stacks the transposed minors
+    powers = unit.take(np.outer(np.arange(n), d) % (2 * n))
+    minors = np.linalg.det(powers[columns])
+    v = unit.take(turns * d.sum() % (2 * n)) * minors.take(orbit)
     v = np.conj(v / v[0])
     v.flags.writeable = False
     return v

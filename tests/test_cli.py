@@ -94,7 +94,7 @@ class TestVerify:
     def test_wrong_phase_is_caught_by_the_residual(self, monkeypatch):
         # |lam| off by one at one coordinate: every rotated eigenvector
         # gets a wrong phase there, and only the residual can see it
-        real = symfunc._minor_tables
+        real = symfunc._vertex_tables
 
         def off_by_one(params):
             *tables, weights, phases = real(params)
@@ -102,7 +102,7 @@ class TestVerify:
             weights[1] += 1
             return (*tables, weights, phases)
 
-        monkeypatch.setattr(symfunc, "_minor_tables", off_by_one)
+        monkeypatch.setattr(symfunc, "_vertex_tables", off_by_one)
         code, out, _ = run_cli("verify", "--k", "3", "--n", "7", "--format", "json")
         assert code == 1
         assert json.loads(out)["max_eigen_residual"] > 1e-8

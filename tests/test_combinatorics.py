@@ -69,8 +69,8 @@ class TestLexRank:
         assert np.array_equal(lex_rank(rows, n), np.arange(comb(n, r)))
 
     def test_stacked_input_ranks_each_row(self):
-        # the (C, j, j-1) stack of rows with one site dropped, as the
-        # Laplace expansion's child table is built
+        # the (C, j, j-1) stack of rows with one site dropped: lex_rank
+        # takes any leading shape
         for n in range(1, 11):
             for j in range(1, n + 1):
                 rows = k_subsets(n, j)

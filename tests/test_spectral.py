@@ -229,10 +229,10 @@ class TestEigenResidual:
         with pytest.raises(ValueError):
             eigen_residual(I, p, c1_operator(p))
 
-    @pytest.mark.parametrize("k,n", [(29, 30), (28, 30), (7, 12)])
+    @pytest.mark.parametrize("k,n", [(29, 30), (28, 30), (7, 12), (10, 13)])
     def test_all_indices(self, k, n):
-        # k > n/2 runs on the n-k complementary roots; direct tables for
-        # Gr(29,30) would hold all 2^30 subsets
+        # k > n/2 runs on the n-k complementary roots (one row at
+        # Gr(29,30)), whose wraps would carry a sign (-1)^n that odd n shows
         p = GrassmannianParams(k, n)
         op = c1_operator(p)
         for I in enumerate_indices(p):
@@ -260,10 +260,10 @@ class TestOrbitWalk:
         calls = []
         counted = lambda I, params: calls.append(I) or rietsch_eigenvector(I, params)
         monkeypatch.setattr(spectral, "rietsch_eigenvector", counted)
-        symfunc._laplace_expansion.cache_clear()
+        symfunc._orbit_vector.cache_clear()
         spectral_report(p)
         assert sorted(calls) == enumerate_indices(p)
-        assert symfunc._laplace_expansion.cache_info().misses == orbits
+        assert symfunc._orbit_vector.cache_info().misses == orbits
 
 
 class TestPropertyO:

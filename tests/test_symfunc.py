@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.combinatorics import GrassmannianParams, enumerate_partitions
-from chevalley.symfunc import (_index_table, central_index, enumerate_indices,
+from chevalley.symfunc import (_index_table, _orbit_vector, _vertex_tables,
+                               central_index, enumerate_indices,
                                homogeneous_table, rietsch_eigenvector,
                                roots_tuple, schur_eval, schur_values_box)
 
@@ -181,6 +184,20 @@ class TestRietschEigenvector:
                 p = GrassmannianParams(k, n)
                 for I in enumerate_indices(p):
                     assert np.max(np.abs(rietsch_eigenvector(I, p))) > 0.5
+
+    def test_table_memory_at_rank_12870(self):
+        # Gr(8,16): the index table, the vertex tables and one orbit vector
+        # peak at 2.9 MB, pinned with about 2x margin
+        p = GrassmannianParams(8, 16)
+        for cached in (_index_table, _vertex_tables, _orbit_vector):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            _orbit_vector(0, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestMaximality:
