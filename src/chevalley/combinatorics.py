@@ -53,11 +53,19 @@ class GrassmannianParams:
         return GrassmannianParams(self.n - self.k, self.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def banded_binomials(n: int, r: int) -> np.ndarray:
-    """C(x, y) for x < n, y <= r where x - y < n - r, zero elsewhere."""
-    table = np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
-                      for x in range(n)], dtype=np.int64)
+    """C(x, y) for x < n, y <= r where x - y < n - r, zero elsewhere, by
+    Pascal's rule: band row y, C(y+d, y) for d < n - r, is the running sum of
+    row y - 1.  OverflowError if C(n-1, r) exceeds int64; 64 tables cached."""
+    if n and comb(n - 1, r) > np.iinfo(np.int64).max:
+        raise OverflowError(f"C({n - 1},{r}) does not fit in int64")
+    table = np.zeros((n, r + 1), dtype=np.int64)
+    band = np.lib.stride_tricks.as_strided(  # band[y, d] is table[y + d, y]
+        table, (r + 1, n - r), (sum(table.strides), table.strides[0]))
+    band[0] = 1
+    for y in range(1, r + 1):
+        np.cumsum(band[y - 1], out=band[y])
     table.flags.writeable = False
     return table
 

@@ -1,15 +1,16 @@
 """Brute-force reference implementations used only for testing.
 
-These deliberately avoid the algorithms of the package: covers by filtering
-full enumeration, complete homogeneous polynomials by explicit monomial sums,
-determinants by Laplace expansion, strong connectivity by scipy's csgraph,
-rotation closure of a spectrum by greedy nearest-neighbour matching.  The
-per-partition rules (covers, quantum_target, is_valid_partition) are the
-textbook description of the quantum Bruhat graph that the particle-hop
-construction must reproduce.
+These deliberately avoid the algorithms of the package: binomial tables by
+one math.comb per entry, covers by filtering full enumeration, complete
+homogeneous polynomials by explicit monomial sums, determinants by Laplace
+expansion, strong connectivity by scipy's csgraph, rotation closure of a
+spectrum by greedy nearest-neighbour matching.  The per-partition rules
+(covers, quantum_target, is_valid_partition) are the textbook description of
+the quantum Bruhat graph that the particle-hop construction must reproduce.
 """
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import mpmath
 import numpy as np
@@ -55,6 +56,13 @@ def covers_by_filter(lam, params):
         if sum(mu) == sum(lam) + 1 and all(a <= b for a, b in zip(lam, mu)):
             out.append(mu)
     return out
+
+
+def banded_binomials_by_comb(n, r):
+    """C(x, y) for x < n, y <= r where x - y < n - r, zero elsewhere: one
+    math.comb per entry, converted to int64 (OverflowError past 2**63 - 1)."""
+    return np.array([[comb(x, y) if x - y < n - r else 0 for y in range(r + 1)]
+                     for x in range(n)], dtype=np.int64)
 
 
 def ring_states_by_sort(k, n):

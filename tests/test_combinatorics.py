@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.bruhat import build_graph
-from chevalley.combinatorics import (GrassmannianParams, dual_partition,
-                                     enumerate_partitions, k_subsets, lex_rank,
-                                     lex_rotation, ring_states)
+from chevalley.combinatorics import (GrassmannianParams, banded_binomials,
+                                     dual_partition, enumerate_partitions,
+                                     k_subsets, lex_rank, lex_rotation,
+                                     ring_states)
 from chevalley.errors import InstanceTooLargeError
 
-from oracles import (covers, covers_by_filter, is_valid_partition,
-                     quantum_target, ring_states_by_sort)
+from oracles import (banded_binomials_by_comb, covers, covers_by_filter,
+                     is_valid_partition, quantum_target, ring_states_by_sort)
 
 small_params = st.integers(2, 9).flatmap(
     lambda n: st.integers(1, n - 1).map(lambda k: GrassmannianParams(k, n)))
@@ -86,6 +87,41 @@ class TestLexRank:
     def test_empty_subset_has_rank_zero(self):
         for n in range(6):
             assert lex_rank(k_subsets(n, 0), n).tolist() == [0]
+
+    def test_every_pair_of_400_sites(self):
+        # Gr(2,400), rank 79 800: long band columns
+        assert np.array_equal(lex_rank(k_subsets(400, 2), 400), np.arange(79_800))
+
+
+class TestBandedBinomials:
+    def test_matches_one_comb_per_entry(self):
+        # every table whose entries fit in int64 for n < 140: 5 086 of them
+        cases = 0
+        for n in range(140):
+            for r in range(n + 1):
+                if n and comb(n - 1, r) >= 2**63:
+                    continue
+                table = banded_binomials(n, r)
+                assert table.dtype == np.int64 and table.shape == (n, r + 1)
+                assert table.tobytes() == banded_binomials_by_comb(n, r).tobytes()
+                assert not table.flags.writeable
+                cases += 1
+        assert cases == 5086
+
+    @pytest.mark.parametrize("n,r", [(68, 33), (200, 100)])
+    def test_entry_past_int64_raises(self, n, r):
+        # C(67,33) and C(199,100) are at least 2**63
+        with pytest.raises(OverflowError):
+            banded_binomials(n, r)
+
+    def test_largest_entry_that_fits(self):
+        assert banded_binomials(67, 33)[-1, -1] == comb(66, 33) == 7_219_428_434_016_265_740
+
+    def test_cache_is_bounded(self):
+        # 100 distinct keys, more than the cache holds
+        for n in range(1, 101):
+            banded_binomials(n, 1)
+        assert banded_binomials.cache_info().currsize <= 64
 
 
 class TestColumnLayout:

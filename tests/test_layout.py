@@ -129,8 +129,13 @@ def test_ci_runs_the_tier1_command():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[:2] == ["pip install -e .[test]", command]
-    # then the benchmark's correctness gate, on the workloads whose products
-    # go through the incidence operator
+    # then the benchmark's correctness gate: one loop over workload:seed
+    # pairs, every workload at seed 0 and held-out seeds
     (gate,) = runs[2:]
-    assert "bench/run.py --workload $w --seed 0 --seconds 1 --trace 0" in gate
-    assert "for w in matrix-thin sweep verify;" in gate and "['correct'] is not True" in gate
+    pairs = re.search(r"for run in ([^;]+);", gate).group(1).replace("\\", " ").split()
+    assert pairs == ["matrix-thin:0", "sweep:0", "verify:0", "verify:1", "verify:2",
+                     "matrix-thin:1", "inequalities:0", "inequalities:1",
+                     "inequalities:5"]
+    assert ('bench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 1 --trace 0'
+            in gate)
+    assert "['correct'] is not True" in gate

@@ -94,6 +94,14 @@ class TestPrincipalEigenvalue:
         assert abs(value - delta0_sine(k, float(n))) < 1e-13 * value
         assert lo <= value <= hi
 
+    def test_matrix_route_at_rank_79800(self):
+        # Gr(2,400), under the rank cap
+        m = c1_operator(GrassmannianParams(2, 400))
+        assert m.shape == (79_800, 79_800)
+        value = principal_eigenvalue(m, shift=400.0)
+        want = delta0_sine(2, 400.0)
+        assert abs(value - want) < 1e-8 * want
+
     @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 19)
                                      for k in range(1, n)]
                              + [(2, 160), (9, 18), (17, 20)])
