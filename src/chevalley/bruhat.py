@@ -15,9 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .combinatorics import (DEFAULT_RANK_CAP, GrassmannianParams, Partition,
-                            banded_binomials, k_subsets, lex_rank,
-                            partitions_of, ring_states)
+from .combinatorics import (GrassmannianParams, Partition, banded_binomials,
+                            k_subsets, lex_rank, partitions_of, ring_states)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ def _vertex_of(ranks: np.ndarray) -> np.ndarray:
     return vertex
 
 
-def build_graph(params: GrassmannianParams,
-                rank_cap: int = DEFAULT_RANK_CAP) -> QuantumBruhatGraph:
+def build_graph(params: GrassmannianParams) -> QuantumBruhatGraph:
     """All particle hops, from one (rank, k+1) table of the moves out of
     each vertex: column c < k hops particle k-1-c, the top one first, so the
     cover targets come in canonical order; column k wraps the top one to 0.
@@ -82,7 +80,7 @@ def build_graph(params: GrassmannianParams,
     order, cover targets by canonical index, then the degree-1 edge.
     """
     k, n = params.k, params.n
-    states, ranks = ring_states(params, rank_cap)
+    states, ranks = ring_states(params)
     sites, binom = states.T, banded_binomials(n, k)  # sites[p]: particle p
     hops = np.empty((len(ranks), k + 1), dtype=bool)
     lex = np.empty(hops.shape, dtype=ranks.dtype)

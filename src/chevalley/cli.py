@@ -4,9 +4,11 @@ Each subcommand is one cmd_* function taking the parsed arguments.  Exit
 codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error (including --tol outside (0, 1), a --grid-step, or an fk
 --x-min or --step, that is not finite and > 0, a non-finite fk --x-max, fk
---k < 1, --rank-cap < 2, --max-iter or --shift < 0, and a grid too large
-for memory).  In verify, --shift is the shift of the power steps that
-certify the matrix route's Collatz-Wielandt bracket (default n), and
+--k < 1, --rank-cap < 2, --max-iter or --shift < 0, a grid too large for
+memory, and a verify, spectrum or graph instance whose rank C(n,k) exceeds
+--rank-cap, refused before anything is enumerated; sweep skips such a row's
+matrix route instead).  In verify, --shift is the shift of the power steps
+that certify the matrix route's Collatz-Wielandt bracket (default n), and
 --max-iter caps their operator products (from the closed-form Perron vector
 one suffices).  A sweep row whose matrix route hits that cap gets the
 verdict NOT_CONVERGED.  Every command runs in one process.
@@ -22,13 +24,23 @@ from functools import cache
 from . import galkin as gk
 from . import spectral as sp_mod
 from .bruhat import build_graph, export_graph
-from .combinatorics import DEFAULT_RANK_CAP, GrassmannianParams
+from .combinatorics import GrassmannianParams
 from .errors import CrossCheckError, InstanceTooLargeError, IterationFailureError
 from .symfunc import enumerate_indices
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
+DEFAULT_RANK_CAP = 100_000
+
+
+def _instance(args: argparse.Namespace) -> GrassmannianParams:
+    """Gr(--k, --n), unless its rank exceeds --rank-cap."""
+    params = GrassmannianParams(args.k, args.n)
+    if params.rank > args.rank_cap:
+        raise InstanceTooLargeError(
+            f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {args.rank_cap}")
+    return params
 
 
 def _report_json(params, srep: sp_mod.SpectralReport, grep: gk.GalkinReport) -> str:
@@ -57,9 +69,9 @@ def _report_json(params, srep: sp_mod.SpectralReport, grep: gk.GalkinReport) -> 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = GrassmannianParams(args.k, args.n)
+    params = _instance(args)
     srep = sp_mod.spectral_report(params, tol=args.tol, shift=args.shift,
-                                  max_iter=args.max_iter, rank_cap=args.rank_cap)
+                                  max_iter=args.max_iter)
     grep = gk.verify_galkin(params)
     if args.format == "json":
         print(_report_json(params, srep, grep))
@@ -89,7 +101,7 @@ def _sweep_row(k, n, tol, rank_cap):
     grep = gk.verify_galkin(params)
     matrix_delta0 = None
     if params.rank <= rank_cap:
-        op = sp_mod.c1_operator(params, rank_cap=rank_cap)
+        op = sp_mod.c1_operator(params)
         try:
             matrix_delta0 = sp_mod.principal_eigenvalue(op, shift=float(n))
         except IterationFailureError:
@@ -119,15 +131,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    params = GrassmannianParams(args.k, args.n)
-    graph = build_graph(params, rank_cap=args.rank_cap)
+    graph = build_graph(_instance(args))
     sys.stdout.write(export_graph(graph, args.format))
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = GrassmannianParams(args.k, args.n)
-    srep = sp_mod.spectral_report(params, tol=args.tol, rank_cap=args.rank_cap)
+    params = _instance(args)
+    srep = sp_mod.spectral_report(params, tol=args.tol)
     for I, eig, res in zip(enumerate_indices(params), srep.spectrum,
                            srep.eigen_residuals):
         halves = "(" + ",".join(f"{d / 2:g}" for d in I) + ")"
@@ -254,7 +265,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ValueError, InstanceTooLargeError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CrossCheckError, IterationFailureError) as exc:

@@ -18,10 +18,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
-
-DEFAULT_RANK_CAP = 100_000
-
 Partition = tuple[int, ...]
 
 
@@ -107,18 +103,14 @@ def lex_rotation(holds_last: np.ndarray) -> np.ndarray:
                     holds_last.sum() + np.arange(len(holds_last)) - before)
 
 
-def ring_states(params: GrassmannianParams,
-                rank_cap: int = DEFAULT_RANK_CAP) -> tuple[np.ndarray, np.ndarray]:
+def ring_states(params: GrassmannianParams) -> tuple[np.ndarray, np.ndarray]:
     """Each box partition lam as k particles on a ring of n sites, at the
     sorted sites S = {lam_j + k - j}: (states, ranks) in canonical order,
     with the lex rank of each, states column-major.  Canonical order is
     weight, then lam lex-descending: the reflected sites n-1-S in lex order,
     of lex rank C(n,k) - 1 - colex(S) with colex(S) = sum_j C(s_j, j+1), so
     the key is weight * C(n,k) - colex(S), one gather per column, and every
-    key is distinct.  The rank cap is checked before enumerating."""
-    if params.rank > rank_cap:
-        raise InstanceTooLargeError(
-            f"rank C({params.n},{params.k}) = {params.rank} exceeds cap {rank_cap}")
+    key is distinct."""
     k, n = params.k, params.n
     states = k_subsets(n, k)
     weighted = params.rank * np.arange(n) - banded_binomials(n, k)[:, 1:].T

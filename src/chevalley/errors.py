@@ -2,7 +2,7 @@
 
 
 class InstanceTooLargeError(ValueError):
-    """Requested Gr(k,n) has rank binomial(n,k) above the configured cap."""
+    """Requested Gr(k,n) has rank binomial(n,k) above the CLI's --rank-cap."""
 
 
 class IterationFailureError(RuntimeError):

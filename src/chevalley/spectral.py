@@ -22,7 +22,7 @@ import numpy as np
 
 from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
                      is_strongly_connected)
-from .combinatorics import DEFAULT_RANK_CAP, GrassmannianParams
+from .combinatorics import GrassmannianParams
 from .errors import CrossCheckError, IterationFailureError
 from . import galkin
 from .symfunc import (SpectralIndex, _index_table, central_index,
@@ -50,10 +50,9 @@ class SpectralReport:
     matrix_bracket: tuple[float, float]  # Collatz-Wielandt [lo, hi] on delta0
 
 
-def c1_operator(params: GrassmannianParams,
-                rank_cap: int = DEFAULT_RANK_CAP) -> IncidenceOperator:
+def c1_operator(params: GrassmannianParams) -> IncidenceOperator:
     """n * (incidence matrix), entries in {0, n}, columns act as sources."""
-    graph = build_graph(params, rank_cap=rank_cap)
+    graph = build_graph(params)
     return incidence_matrix(graph, float(params.n))
 
 
@@ -157,14 +156,13 @@ def property_o_check(params: GrassmannianParams,
 
 def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                     shift: float | None = None,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    rank_cap: int = DEFAULT_RANK_CAP) -> SpectralReport:
+                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralReport:
     """Compute delta0 by all four routes and cross-check them pairwise,
     then check every closed-form eigenpair (_eigen_residuals, orbit by orbit
     of the rotation, each residual stored at its index's lex position) and
     property O."""
     k, n = params.k, params.n
-    matrix = c1_operator(params, rank_cap=rank_cap)
+    matrix = c1_operator(params)
     if not is_strongly_connected(matrix):
         raise CrossCheckError(
             f"quantum Bruhat graph of Gr({k},{n}) is not strongly connected; "

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from chevalley.bruhat import (IncidenceOperator, build_graph, export_graph,
                               incidence_matrix, is_strongly_connected)
 from chevalley.combinatorics import GrassmannianParams, dual_partition
-from chevalley.errors import InstanceTooLargeError
 from oracles import covers, quantum_target, strongly_connected_by_csgraph
 
 
@@ -59,10 +58,6 @@ class TestBuildGraph:
             if star is not None:
                 expected.add((star, 1))
             assert targets == expected
-
-    def test_rank_cap(self):
-        with pytest.raises(InstanceTooLargeError):
-            build_graph(GrassmannianParams(10, 30), rank_cap=1000)
 
 
 class TestReferenceRule:

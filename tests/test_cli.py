@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chevalley import spectral, symfunc
+from chevalley import cli, spectral, symfunc
 from chevalley.cli import main
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
@@ -262,6 +262,25 @@ class TestSpectrum:
         code, out, err = run_cli("spectrum", "--k", "3", "--n", "7")
         assert code == 1
         assert "routes disagree" in err
+
+
+class TestRankCap:
+    @pytest.fixture
+    def nothing_enumerated(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("an instance above the cap was enumerated")
+        monkeypatch.setattr(spectral, "spectral_report", reached)
+        monkeypatch.setattr(cli, "build_graph", reached)
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "graph"])
+    def test_refused_before_enumerating(self, command, nothing_enumerated):
+        assert run_cli(command, "--k", "3", "--n", "7", "--rank-cap", "34") == (
+            2, "", "error: rank C(7,3) = 35 exceeds cap 34\n")
+
+    def test_default_cap(self, nothing_enumerated):
+        # rank C(30,10) = 30 045 015 is above the default cap
+        assert run_cli("verify", "--k", "10", "--n", "30") == (
+            2, "", "error: rank C(30,10) = 30045015 exceeds cap 100000\n")
 
 
 class TestFk:

@@ -11,7 +11,6 @@ from chevalley.combinatorics import (GrassmannianParams, banded_binomials,
                                      dual_partition, enumerate_partitions,
                                      k_subsets, lex_rank, lex_rotation,
                                      ring_states)
-from chevalley.errors import InstanceTooLargeError
 
 from oracles import (banded_binomials_by_comb, covers, covers_by_filter,
                      is_valid_partition, quantum_target, ring_states_by_sort)
@@ -53,11 +52,6 @@ class TestEnumerate:
         assert len(parts) == p.rank
         assert len(set(parts)) == p.rank
         assert all(is_valid_partition(lam, p) for lam in parts)
-
-    def test_rank_cap(self):
-        # rank C(30,10) = 30 045 015 is above DEFAULT_RANK_CAP
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_partitions(GrassmannianParams(10, 30))
 
 
 class TestLexRank:

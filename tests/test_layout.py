@@ -1,6 +1,7 @@
 """Library code that only tests call belongs in tests/oracles.py, not src/,
 a default that no caller changes is a constant, the package runs on numpy
-alone, and CI runs the Tier-1 command of ROADMAP.md."""
+alone, the rank cap is checked only in the CLI, and CI runs the Tier-1
+command of ROADMAP.md."""
 
 import ast
 import re
@@ -62,6 +63,25 @@ def test_src_never_imports_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported in src/: {found}"
+
+
+def test_rank_cap_is_checked_only_in_the_cli():
+    # the CLI refuses an instance above --rank-cap; the library enumerates
+    # whatever it is asked to
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise)
+                    and "InstanceTooLargeError" in ast.dump(node)):
+                found.append(f"{path.name}:{node.lineno} raises InstanceTooLargeError")
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                found += [f"{path.name}:{node.lineno} takes rank_cap"
+                          for arg in a.posonlyargs + a.args + a.kwonlyargs
+                          if arg.arg == "rank_cap"]
+    assert not found, f"rank cap handled outside cli.py: {found}"
 
 
 def defaulted_parameters(tree):

@@ -27,3 +27,11 @@ def test_emit_fk_curves(tmp_path):
     assert lines[0] == "x,F"
     x, f = map(float, lines[-1].split(","))
     assert x == 100.0 and f > 0
+
+
+def test_emit_fk_curves_refuses_what_fk_refuses(tmp_path):
+    proc = run_script("emit_fk_curves.py", "--ks", "2", "--step", "0",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "--step" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "fk_2.csv").exists()

@@ -12,7 +12,7 @@ from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
                                 eigen_residual, principal_eigenvalue,
                                 property_o_check, spectral_report,
                                 spectrum_closed_form)
-from chevalley.symfunc import (_index_table, enumerate_indices,
+from chevalley.symfunc import (_index_table, central_index, enumerate_indices,
                                rietsch_eigenvector, roots_tuple)
 
 from oracles import multiset_invariant_under, shifted
@@ -245,6 +245,15 @@ class TestEigenResidual:
         op = c1_operator(p)
         for I in enumerate_indices(p):
             assert eigen_residual(I, p, op) < 1e-8
+
+    def test_rank_above_the_cli_default_cap(self):
+        # Gr(2,450), rank 101 025: the library enumerates whatever it is
+        # asked to; only the CLI's --rank-cap refuses an instance
+        p = GrassmannianParams(2, 450)
+        assert len(rietsch_eigenvector(central_index(p), p)) == 101_025
+        op = c1_operator(p)
+        for I in (central_index(p), enumerate_indices(p)[12345]):
+            assert eigen_residual(I, p, op) < 1e-10
 
 
 class TestOrbitWalk:
