@@ -1,7 +1,7 @@
 """Quantum Chevalley operator of the Grassmannian: spectrum and the Galkin
 lower bound, verified by four independent computational routes."""
 
-from .combinatorics import GrassmannianParams, dual_partition, enumerate_partitions
+from .combinatorics import GrassmannianParams
 from .bruhat import build_graph, export_graph, incidence_matrix, is_strongly_connected
 from .symfunc import (central_index, enumerate_indices, rietsch_eigenvector,
                       roots_tuple, schur_eval)

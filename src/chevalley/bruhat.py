@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import (GrassmannianParams, Partition, banded_binomials,
-                            k_subsets, lex_rank, partitions_of, ring_states)
+                            empty_sites, lex_rank, partitions_of, ring_states)
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,13 @@ def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
     """The Perron vector of the hop operator, up to scale: the product of
     sin(pi (s_j - s_i) / n) over pairs i < j of occupied sites, the Schur
     values at Rietsch's totally positive point.  When the empty sites are
-    fewer (k > n/2) the product runs over them, which agrees up to scale;
-    complement reverses lex order, so the empty sites of the subset of lex
-    rank r are the (n-k)-subset of lex rank C(n,k)-1-r.  Every factor lies
-    in (0, 1], so the vector is > 0."""
+    fewer (k > n/2) the product runs over them (combinatorics.empty_sites,
+    read at each vertex's lex rank), which agrees up to scale.  Every factor
+    lies in (0, 1], so the vector is > 0."""
     k, n = graph.params.k, graph.params.n
     columns = graph.states.T
     if 2 * k > n:
-        empty = graph.params.rank - 1 - graph.ranks
-        columns = k_subsets(n, n - k).T.take(empty, axis=1)
+        columns = empty_sites(n, k).T.take(graph.ranks, axis=1)
     sine = np.sin(np.pi * np.arange(n) / n)
     vector = np.ones(columns.shape[1])
     for j in range(1, len(columns)):

@@ -68,6 +68,17 @@ def _report_json(params, srep: sp_mod.SpectralReport, grep: gk.GalkinReport) -> 
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _property_o_line(srep: sp_mod.SpectralReport) -> str:
+    return (f"property_o: top_multiplicity={srep.top_multiplicity}  "
+            f"rotation_closed={srep.rotation_closed}  "
+            f"top_on_roots={srep.top_arguments_are_roots}")
+
+
+def _spectral_ok(srep: sp_mod.SpectralReport, tol: float) -> bool:
+    return (srep.top_multiplicity == 1 and srep.rotation_closed
+            and srep.top_arguments_are_roots and srep.max_eigen_residual < tol)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _instance(args)
     srep = sp_mod.spectral_report(params, tol=args.tol, shift=args.shift,
@@ -82,17 +93,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"sine={srep.delta0_sine:.12f}  cosine={srep.delta0_cosine:.12f}")
         print(f"bound={grep.bound:g}  margin={grep.margin:.12f}  "
               f"verdict={grep.verdict}  projective_space={grep.is_projective_space}")
-        print(f"property_o: top_multiplicity={srep.top_multiplicity}  "
-              f"rotation_closed={srep.rotation_closed}  "
-              f"top_on_roots={srep.top_arguments_are_roots}")
+        print(_property_o_line(srep))
         print(f"max_eigen_residual={srep.max_eigen_residual:.3e}  "
               f"power_iterations={srep.power_iterations}")
-    ok = (grep.verdict in ("holds_strict", "holds_equality")
-          and grep.consistent
-          and srep.top_multiplicity == 1
-          and srep.rotation_closed
-          and srep.top_arguments_are_roots
-          and srep.max_eigen_residual < args.tol)
+    ok = (grep.verdict in ("holds_strict", "holds_equality") and grep.consistent
+          and _spectral_ok(srep, args.tol))
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
@@ -144,13 +149,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         halves = "(" + ",".join(f"{d / 2:g}" for d in I) + ")"
         print(f"I={halves}  eigenvalue={eig.real:+.10f}{eig.imag:+.10f}i  "
               f"residual={res:.3e}")
-    print(f"property_o: top_multiplicity={srep.top_multiplicity}  "
-          f"rotation_closed={srep.rotation_closed}  "
-          f"top_on_roots={srep.top_arguments_are_roots}")
-    ok = (srep.top_multiplicity == 1 and srep.rotation_closed
-          and srep.top_arguments_are_roots
-          and srep.max_eigen_residual < args.tol)
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+    print(_property_o_line(srep))
+    return EXIT_OK if _spectral_ok(srep, args.tol) else EXIT_MATH_FAIL
 
 
 def cmd_fk(args: argparse.Namespace) -> int:

@@ -7,7 +7,8 @@ each weight.
 
 Tables of sites are column-major, (k, rank) arrays seen as (rank, k), so
 each particle's sites are one contiguous row and every per-particle pass is
-one-dimensional.  Canonical order comes from a colex key (ring_states).
+one-dimensional.  Canonical order comes from a colex key (ring_states), the
+ring's rotation orbits from rotation_orbits, complements from empty_sites.
 """
 
 from __future__ import annotations
@@ -94,13 +95,38 @@ def k_subsets(n: int, r: int) -> np.ndarray:
     return columns.T
 
 
-def lex_rotation(holds_last: np.ndarray) -> np.ndarray:
-    """Lex rank of the ring rotation (every particle one site on) of each
-    subset, given in lex order whether each holds the last site.  Those that
-    do move, in order, to the first ranks; the rest, in order, to the last."""
+def empty_sites(n: int, k: int) -> np.ndarray:
+    """The n-k empty sites of each k-subset of range(n), row i for the
+    subset of lex rank i: complement reverses lex order, so these are the
+    (n-k)-subsets read from the last."""
+    return k_subsets(n, n - k)[::-1]
+
+
+@lru_cache(maxsize=1)
+def rotation_orbits(params: GrassmannianParams):
+    """The k-subsets of the ring's n sites, in lex order, under the rotation
+    (every particle one site on): read-only (subsets, rotation, start, m),
+    the lex rank of each subset rotated, of its orbit's lex-least member R,
+    and the least m with the subset = R rotated m times.  Those holding site
+    n-1 rotate, in order, to the first ranks, the rest to the last.  start
+    and m are a running minimum over the subset rotated j = 1..n times: R
+    rotated n - j times is the subset, so the last tie is least m."""
+    n = params.n
+    subsets = k_subsets(n, params.k)
+    holds_last = subsets[:, -1] == n - 1
     before = np.cumsum(holds_last) - holds_last
-    return np.where(holds_last, before,
-                    holds_last.sum() + np.arange(len(holds_last)) - before)
+    rotation = np.where(holds_last, before,
+                        holds_last.sum() + np.arange(params.rank) - before)
+    start = pos = np.arange(params.rank)
+    m = np.zeros(params.rank, dtype=np.intp)
+    for j in range(1, n + 1):
+        pos = rotation[pos]
+        least = pos <= start
+        start = np.where(least, pos, start)
+        m[least] = n - j
+    for table in (subsets, rotation, start, m):  # shared by every caller
+        table.flags.writeable = False
+    return subsets, rotation, start, m
 
 
 def ring_states(params: GrassmannianParams) -> tuple[np.ndarray, np.ndarray]:
@@ -122,17 +148,3 @@ def partitions_of(states: np.ndarray) -> list[Partition]:
     """The partitions lam_j = S_{k+1-j} - (k - j) of rows of sorted sites."""
     lams = (states - np.arange(states.shape[1]))[:, ::-1]
     return list(map(tuple, lams.tolist()))
-
-
-def enumerate_partitions(params: GrassmannianParams) -> list[Partition]:
-    """All partitions in the k x (n-k) box in canonical order.
-
-    Canonical order: increasing weight, then lexicographically descending
-    within a weight class.  Length is always binomial(n, k).
-    """
-    return partitions_of(ring_states(params)[0])
-
-
-def dual_partition(lam: Partition, params: GrassmannianParams) -> Partition:
-    """Conjugate (transpose) diagram, a partition for Gr(n-k, n)."""
-    return tuple(sum(1 for x in lam if x > j) for j in range(params.box_width))

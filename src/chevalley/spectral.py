@@ -7,10 +7,10 @@ incidence_matrix attaches, stopped on the width of the Collatz-Wielandt
 bracket of a product with the operator.  The bracket holds rho for any
 v > 0, so the start only sets the number of products (one, when it is
 exact), never the value.  The full spectrum is the closed form n*S_(1) over
-the index table symfunc._index_table, and every closed-form eigenpair is
-validated by residual against the built operator, orbit by orbit of its
-rotation I -> I+, so that symfunc.rietsch_eigenvector takes one stacked
-determinant per orbit; a wrong phase shows up as a residual.
+the index table combinatorics.rotation_orbits, and every closed-form
+eigenpair is validated by residual against the built operator, orbit by
+orbit of its rotation I -> I+, so that symfunc.rietsch_eigenvector takes one
+stacked determinant per orbit; a wrong phase shows up as a residual.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import numpy as np
 
 from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
                      is_strongly_connected)
-from .combinatorics import GrassmannianParams
+from .combinatorics import GrassmannianParams, rotation_orbits
 from .errors import CrossCheckError, IterationFailureError
 from . import galkin
-from .symfunc import (SpectralIndex, _index_table, central_index,
-                      enumerate_indices, rietsch_eigenvector, roots_tuple,
-                      schur_eval)
+from .symfunc import (SpectralIndex, central_index, enumerate_indices,
+                      rietsch_eigenvector, roots_tuple, schur_eval)
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -99,7 +98,7 @@ def principal_eigenvalue(matrix, shift: float) -> float:
 def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
     """All eigenvalues n * S_(1)(zeta^I) over the index set, with multiplicity."""
     roots = roots_tuple(2 * np.arange(params.n) - (params.k - 1), params)
-    return params.n * roots.take(_index_table(params)[0]).sum(axis=1)
+    return params.n * roots.take(rotation_orbits(params)[0]).sum(axis=1)
 
 
 def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
@@ -119,12 +118,12 @@ def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
 def _eigen_residuals(params: GrassmannianParams,
                      operator: IncidenceOperator) -> np.ndarray:
     """eigen_residual of every index, in enumerate_indices order, walked
-    stably sorted by _index_table's orbit starts: each orbit stays together,
+    stably sorted by rotation_orbits' orbit starts: each orbit stays together,
     so rietsch_eigenvector computes its lex-least member's vector once and
     reaches the others by phases.  The index list is freed before property O."""
     indices = enumerate_indices(params)
     residuals = np.empty(params.rank)
-    for pos in np.argsort(_index_table(params)[2], kind="stable").tolist():
+    for pos in np.argsort(rotation_orbits(params)[2], kind="stable").tolist():
         residuals[pos] = eigen_residual(indices[pos], params, operator)
     return residuals
 
@@ -136,7 +135,7 @@ def property_o_check(params: GrassmannianParams,
     Expected findings: the largest real eigenvalue is simple, the spectrum is
     invariant under rotation by zeta = e^{2 pi i / n}, and every eigenvalue of
     top modulus is that value times an n-th root of unity.  Closure is
-    certified by the bijection I -> I+ of the index set (_index_table), where
+    certified by the bijection I -> I+ of the index set (rotation_orbits), where
     I+ adds 2 to every doubled exponent and wraps past 2n-k-1 by -2n:
     spectrum[I+] = zeta * spectrum[I] maps the multiset onto its rotation.
     """
@@ -146,7 +145,7 @@ def property_o_check(params: GrassmannianParams,
     top_multiplicity = int(np.sum(np.abs(spectrum - delta0) < tol))
     zeta = np.exp(2j * np.pi / n)
     rotation_closed = bool(np.all(
-        np.abs(spectrum[_index_table(params)[1]] - zeta * spectrum) < tol))
+        np.abs(spectrum[rotation_orbits(params)[1]] - zeta * spectrum) < tol))
     roots = delta0 * np.exp(2j * np.pi * np.arange(n) / n)
     top = spectrum[np.abs(np.abs(spectrum) - delta0) < tol]
     top_arguments_are_roots = all(

@@ -5,13 +5,13 @@ I = (i_1 < ... < i_k) with i_j integers (k odd) or half-integers (k even) is
 kept as the tuple of exact integers d_j = 2*i_j.  Complex numbers appear
 only at evaluation time.
 
-Two independent evaluators are kept: Jacobi-Trudi determinants
-(schur_eval, schur_values_box), one masked assembly over a table of complete
-homogeneous polynomials, which serve the Schur route and the tests, and the
-bialternant numerators behind rietsch_eigenvector, the k x k minors of the
-matrix (z_i^c).  Indices and box partitions are both k-subsets of n ring
-sites under one rotation (every doubled exponent +2, wrapping past 2n-k-1
-by -2n; every site one on), so one lex table of k-subsets (_index_table)
+Two independent evaluators are kept: the Jacobi-Trudi determinant
+(schur_eval, one masked assembly over a table of complete homogeneous
+polynomials), which serves the Schur route, and the bialternant numerators
+behind rietsch_eigenvector, the k x k minors of the matrix (z_i^c).
+Indices and box partitions are both k-subsets of n ring sites under one
+rotation (every doubled exponent +2, wrapping past 2n-k-1 by -2n; every
+site one on), so one lex table of k-subsets (combinatorics.rotation_orbits)
 holds the index set, its rotation and each orbit's start for both.  Per
 orbit of indices one stacked determinant over the first members of the
 partitions' orbits gives the minors; the rest follow by exact phases: the
@@ -27,8 +27,8 @@ from math import comb
 
 import numpy as np
 
-from .combinatorics import (GrassmannianParams, Partition, enumerate_partitions,
-                            k_subsets, lex_rotation, ring_states)
+from .combinatorics import (GrassmannianParams, Partition, empty_sites,
+                            ring_states, rotation_orbits)
 
 SpectralIndex = tuple[int, ...]  # doubled exponents, strictly increasing
 
@@ -39,28 +39,8 @@ def enumerate_indices(params: GrassmannianParams) -> list[SpectralIndex]:
     Doubled values run over -(k-1), -(k-1)+2, ..., 2n-(k+1): exactly n
     candidates of the correct parity, from which k distinct are chosen.
     """
-    subsets = _index_table(params)[0]
+    subsets = rotation_orbits(params)[0]
     return list(zip(*(2 * subsets.T - (params.k - 1)).tolist()))
-
-
-@lru_cache(maxsize=1)
-def _index_table(params: GrassmannianParams):
-    """(subsets, rotation, start, m) per index, in lex order: its pool
-    positions a = (d + k - 1)/2, the position of I+ (every particle one site
-    on around the ring), the position of its orbit's lex-least member R and
-    the least m with I = R rotated m times.  A running minimum over I rotated
-    j = 1..n times: R rotated n - j times is I, so the last tie is least m."""
-    n = params.n
-    subsets = k_subsets(n, params.k)
-    rotation = lex_rotation(subsets[:, -1] == n - 1)
-    start = pos = np.arange(params.rank)
-    m = np.zeros(params.rank, dtype=np.intp)
-    for j in range(1, n + 1):
-        pos = rotation[pos]
-        least = pos <= start
-        start = np.where(least, pos, start)
-        m[least] = n - j
-    return subsets, rotation, start, m
 
 
 def central_index(params: GrassmannianParams) -> SpectralIndex:
@@ -90,36 +70,14 @@ def homogeneous_table(x, m_max: int) -> np.ndarray:
     return h
 
 
-def _jt_exponents(lams: np.ndarray) -> np.ndarray:
-    """Jacobi-Trudi exponents lam_r - r + c over the last axis: partitions
-    of shape (..., k) give (..., k, k); negative entries mark vanishing h's."""
-    k = lams.shape[-1]
-    return lams[..., :, None] - np.arange(k)[:, None] + np.arange(k)
-
-
-def _jacobi_trudi(E: np.ndarray, x) -> np.ndarray:
-    """det(h_E) at the point x for a stack of exponent matrices E."""
-    h = homogeneous_table(x, int(E.max()))
-    return np.linalg.det(np.where(E >= 0, h[np.maximum(E, 0)], 0.0))
-
-
 def schur_eval(lam: Partition, x) -> complex:
-    """Jacobi-Trudi determinant det(h_{lam_r - r + c}) at the point x."""
+    """Jacobi-Trudi determinant det(h_{lam_r - r + c}) at x, h_m = 0 for m < 0."""
     if len(lam) != len(x):
         raise ValueError("partition length must match tuple length")
-    return complex(_jacobi_trudi(_jt_exponents(np.array(lam)), x))
-
-
-@lru_cache(maxsize=64)
-def _box_exponents(params: GrassmannianParams) -> np.ndarray:
-    """Stacked Jacobi-Trudi exponents over all box partitions, (rank, k, k)."""
-    return _jt_exponents(np.array(enumerate_partitions(params)))
-
-
-def schur_values_box(params: GrassmannianParams, x) -> np.ndarray:
-    """Schur values at the point x for every box partition, canonical order:
-    one stacked Jacobi-Trudi determinant, exponents cached per instance."""
-    return _jacobi_trudi(_box_exponents(params), x)
+    k = len(lam)
+    E = np.array(lam)[:, None] - np.arange(k)[:, None] + np.arange(k)
+    h = homogeneous_table(x, int(E.max()))
+    return complex(np.linalg.det(np.where(E >= 0, h[np.maximum(E, 0)], 0.0)))
 
 
 @lru_cache(maxsize=1)
@@ -128,9 +86,9 @@ def _vertex_tables(params: GrassmannianParams):
 
     Returns (columns, orbit, turns, weights, phases).  The vertices, box
     partitions lam at their sites S = {lam_j + k - j}, are k-subsets of the
-    n ring sites under the same rotation as the indices, so _index_table
+    n ring sites under the same rotation as the indices, so rotation_orbits
     holds their orbits too: columns lists the sites of each orbit's lex-least
-    member (for k > n/2 the n-k empty sites, complement reversing lex order),
+    member (for k > n/2 its n-k empty sites, from empty_sites),
     and the box partition at canonical position c is the member of row
     orbit[c] rotated turns[c] times.  weights holds the exact integer
     |lam| = sum S - k(k-1)/2 of each box partition and phases[m, g] =
@@ -139,11 +97,10 @@ def _vertex_tables(params: GrassmannianParams):
     eigenvector to its m-th rotation.
     """
     k, n = params.k, params.n
-    subsets, _, start, m = _index_table(params)
+    subsets, _, start, m = rotation_orbits(params)
     states, lex = ring_states(params)
     reps = np.flatnonzero(start == np.arange(params.rank))
-    columns = (k_subsets(n, n - k)[params.rank - 1 - reps] if 2 * k > n
-               else subsets[reps])
+    columns = (empty_sites(n, k) if 2 * k > n else subsets)[reps]
     orbit = np.searchsorted(reps, start[lex])
     weights = states.sum(axis=1) - k * (k - 1) // 2
     phases = np.exp(-2j * np.pi * np.arange(n) / n)[
@@ -163,17 +120,17 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
     per-grade table of the n powers of zeta^{-1} at the integer m|lam| mod
     n (_vertex_tables), so no error accumulates along the orbit.  R and m
-    are read from _index_table at I's lex position (lex_rank's comb sum);
-    ValueError unless I is a strictly increasing k-tuple from the pool.
+    are read from rotation_orbits at I's lex position (lex_rank's comb sum);
+    ValueError unless I is a strictly increasing k-tuple of ints from the pool.
     """
     k, n = params.k, params.n
     pool = range(-(k - 1), 2 * n - k, 2)
-    if len(I) != k or any(d not in pool for d in I) or any(
-            a >= b for a, b in zip(I, I[1:])):
+    if (len(I) != k or any(not isinstance(d, (int, np.integer)) or d not in pool
+                           for d in I) or any(a >= b for a, b in zip(I, I[1:]))):
         raise ValueError(f"{I} is not a strictly increasing {k}-tuple from {pool}")
     pos = params.rank - 1 - sum(comb(n - 1 - (d + k - 1) // 2, k - i)
                                 for i, d in enumerate(I))
-    _, _, start, m = _index_table(params)
+    _, _, start, m = rotation_orbits(params)
     *_, weights, phases = _vertex_tables(params)
     v = _orbit_vector(int(start[pos]), params)
     return phases[m[pos]].take(weights) * v
@@ -202,7 +159,7 @@ def _orbit_vector(pos: int, params: GrassmannianParams) -> np.ndarray:
     """
     columns, orbit, turns, _, _ = _vertex_tables(params)
     k, n = params.k, params.n
-    sites = _index_table(params)[0][pos]
+    sites = rotation_orbits(params)[0][pos]
     d = (n + k - 1 - 2 * np.setdiff1d(np.arange(n), sites) if 2 * k > n
          else 2 * sites - (k - 1))
     unit = np.exp(1j * np.pi * np.arange(2 * n) / n)

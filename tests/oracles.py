@@ -1,14 +1,19 @@
 """Brute-force reference implementations used only for testing.
 
-These deliberately avoid the algorithms of the package: binomial tables by
-one math.comb per entry, covers by filtering full enumeration, complete
+These deliberately avoid the algorithms of the package: box partitions by
+sorting itertools' weakly decreasing tuples, binomial tables by one
+math.comb per entry, covers by filtering full enumeration, complete
 homogeneous polynomials by explicit monomial sums, determinants by Laplace
 expansion, strong connectivity by scipy's csgraph, rotation closure of a
 spectrum by greedy nearest-neighbour matching.  The per-partition rules
-(covers, quantum_target, is_valid_partition) are the textbook description of
-the quantum Bruhat graph that the particle-hop construction must reproduce.
+(covers, quantum_target, is_valid_partition, dual_partition) are the
+textbook description of the quantum Bruhat graph that the particle-hop
+construction must reproduce.  The one exception is the Jacobi-Trudi box
+oracle schur_values_box: it reads symfunc.homogeneous_table, which
+test_symfunc checks against the monomial sums of h_monomial.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -17,9 +22,18 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from chevalley import galkin
-from chevalley.combinatorics import enumerate_partitions
+from chevalley.symfunc import homogeneous_table
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
+
+# (I, (k, n)) with I no index of Gr(k,n): Gr(2,5)'s are the strictly
+# increasing pairs from -1, 1, 3, 5, 7, Gr(1,3)'s the singletons 0, 2, 4,
+# and an integral float is no index
+NOT_AN_INDEX = [((0, 2), (2, 5)), ((-1, 1, 3), (2, 5)), ((1, 1), (2, 5)),
+                ((9, 11), (2, 5)), ((1, -1), (2, 5)), ((7, 9), (2, 5)),
+                ((-1.0, 1.0), (2, 5)), ((0.0,), (1, 3))]
+# the ids pytest gives a lone tuple parameter
+NOT_AN_INDEX_IDS = [f"I{i}" for i in range(len(NOT_AN_INDEX))]
 
 
 def is_valid_partition(lam, params):
@@ -28,6 +42,18 @@ def is_valid_partition(lam, params):
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         return False
     return 0 <= lam[-1] and lam[0] <= params.box_width
+
+
+def enumerate_partitions(params):
+    """All partitions in the k x (n-k) box in canonical order: increasing
+    weight, then lexicographically descending within a weight class."""
+    parts = combinations_with_replacement(range(params.box_width, -1, -1), params.k)
+    return sorted(parts, key=lambda lam: (sum(lam), [-x for x in lam]))
+
+
+def dual_partition(lam, params):
+    """Conjugate (transpose) diagram, a partition for Gr(n-k, n)."""
+    return tuple(sum(1 for x in lam if x > j) for j in range(params.box_width))
 
 
 def covers(lam, params):
@@ -144,6 +170,23 @@ def schur_brute(lam, x):
     mat = np.array([[h_monomial(x, lam[r] - r + c) for c in range(k)]
                     for r in range(k)])
     return laplace_det(mat)
+
+
+@lru_cache(maxsize=64)
+def _box_exponents(params):
+    """Stacked Jacobi-Trudi exponents lam_r - r + c over all box partitions,
+    (rank, k, k); negative entries mark vanishing h's."""
+    k = params.k
+    lams = np.array(enumerate_partitions(params))
+    return lams[:, :, None] - np.arange(k)[:, None] + np.arange(k)
+
+
+def schur_values_box(params, x):
+    """Schur values at the point x for every box partition, canonical order:
+    one stacked Jacobi-Trudi determinant, exponents cached per instance."""
+    E = _box_exponents(params)
+    h = homogeneous_table(x, int(E.max()))
+    return np.linalg.det(np.where(E >= 0, h[np.maximum(E, 0)], 0.0))
 
 
 def multiset_invariant_under(spectrum, factor, tol):

@@ -5,18 +5,17 @@ import time
 
 import numpy as np
 
-from oracles import fk_second_difference
+from oracles import dual_partition, fk_second_difference, schur_values_box
 
 from chevalley.bruhat import build_graph
-from chevalley.combinatorics import GrassmannianParams, dual_partition
+from chevalley.combinatorics import GrassmannianParams
 from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
                               check_k2_inequality, check_limit,
                               check_second_proof_lemma, delta0_sine, fk,
                               fk_second_derivative, verify_galkin)
 from chevalley.spectral import (c1_operator, eigen_residual, property_o_check,
                                 spectral_report)
-from chevalley.symfunc import (central_index, enumerate_indices, roots_tuple,
-                               schur_values_box)
+from chevalley.symfunc import central_index, enumerate_indices, roots_tuple
 
 
 def report(num, ok, detail=""):

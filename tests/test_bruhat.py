@@ -8,8 +8,9 @@ import scipy.sparse as sp
 
 from chevalley.bruhat import (IncidenceOperator, build_graph, export_graph,
                               incidence_matrix, is_strongly_connected)
-from chevalley.combinatorics import GrassmannianParams, dual_partition
-from oracles import covers, quantum_target, strongly_connected_by_csgraph
+from chevalley.combinatorics import GrassmannianParams
+from oracles import (covers, dual_partition, quantum_target,
+                     strongly_connected_by_csgraph)
 
 
 def all_params(n_max):

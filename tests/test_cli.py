@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -212,6 +213,18 @@ class TestGraph:
         assert code == 0
         obj = json.loads(out)
         assert obj["edge_count"] == 15 and obj["quantum_edge_count"] == 3
+
+    def test_json_bytes_up_to_n9(self):
+        # the export is integers only, so one digest holds on every platform
+        digest = hashlib.sha256()
+        for n in range(2, 10):
+            for k in range(1, n):
+                code, out, _ = run_cli("graph", "--k", str(k), "--n", str(n),
+                                       "--format", "json")
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "a8181ef37ea4e811868c1a5265510d267d854fb59d9fadb53c9b7eaacd4ee5aa")
 
     def test_dot_gr12(self):
         code, out, _ = run_cli("graph", "--k", "1", "--n", "2", "--format", "dot")

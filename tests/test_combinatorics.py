@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 
 from chevalley.bruhat import build_graph
 from chevalley.combinatorics import (GrassmannianParams, banded_binomials,
-                                     dual_partition, enumerate_partitions,
-                                     k_subsets, lex_rank, lex_rotation,
-                                     ring_states)
+                                     empty_sites, k_subsets, lex_rank,
+                                     partitions_of, ring_states,
+                                     rotation_orbits)
 
 from oracles import (banded_binomials_by_comb, covers, covers_by_filter,
-                     is_valid_partition, quantum_target, ring_states_by_sort)
+                     dual_partition, enumerate_partitions, is_valid_partition,
+                     quantum_target, ring_states_by_sort)
 
 small_params = st.integers(2, 9).flatmap(
     lambda n: st.integers(1, n - 1).map(lambda k: GrassmannianParams(k, n)))
 
 
-def partitions_of(params):
+def partition_in(params):
     return st.sampled_from(enumerate_partitions(params))
+
+
+def canonical(params):
+    """The package's canonical order of the box partitions."""
+    return partitions_of(ring_states(params)[0])
 
 
 class TestParams:
@@ -37,21 +43,27 @@ class TestParams:
 class TestEnumerate:
     def test_gr24_order(self):
         p = GrassmannianParams(2, 4)
-        assert enumerate_partitions(p) == [
-            (0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
+        assert canonical(p) == [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
 
     def test_gr12(self):
-        assert enumerate_partitions(GrassmannianParams(1, 2)) == [(0,), (1,)]
+        assert canonical(GrassmannianParams(1, 2)) == [(0,), (1,)]
 
     def test_gr36_count(self):
-        assert len(enumerate_partitions(GrassmannianParams(3, 6))) == 20
+        assert len(canonical(GrassmannianParams(3, 6))) == 20
 
     @given(small_params)
     def test_count_is_rank(self, p):
-        parts = enumerate_partitions(p)
+        parts = canonical(p)
         assert len(parts) == p.rank
         assert len(set(parts)) == p.rank
         assert all(is_valid_partition(lam, p) for lam in parts)
+
+    def test_matches_sorted_tuples(self):
+        # weight, then lex-descending, on the whole small domain
+        for n in range(2, 13):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                assert canonical(p) == enumerate_partitions(p)
 
 
 class TestLexRank:
@@ -151,6 +163,17 @@ class TestKSubsets:
                 assert list(map(tuple, rows.tolist())) == want
 
 
+class TestEmptySites:
+    def test_row_is_the_complement_of_the_same_lex_rank(self):
+        # r = 0 leaves every site empty, r = n none
+        for n in range(10):
+            for r in range(n + 1):
+                empty = empty_sites(n, r)
+                assert empty.shape == (comb(n, r), n - r)
+                for full, holes in zip(k_subsets(n, r).tolist(), empty.tolist()):
+                    assert holes == sorted(set(range(n)) - set(full))
+
+
 class TestRingRotation:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_particle_one_site_on_sorted(self, n):
@@ -158,8 +181,12 @@ class TestRingRotation:
             rows = list(combinations(range(n), r))
             position = {row: i for i, row in enumerate(rows)}
             want = [position[tuple(sorted((s + 1) % n for s in row))] for row in rows]
-            holds_last = np.array([row[-1] == n - 1 for row in rows])
-            assert lex_rotation(holds_last).tolist() == want
+            tables = rotation_orbits(GrassmannianParams(r, n))
+            subsets, rotation, _, _ = tables
+            assert list(map(tuple, subsets.tolist())) == rows
+            assert rotation.tolist() == want
+            # cached, so shared by every caller
+            assert not any(table.flags.writeable for table in tables)
 
 
 class TestCovers:
@@ -173,7 +200,7 @@ class TestCovers:
     @given(small_params, st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, p, data):
-        lam = data.draw(partitions_of(p))
+        lam = data.draw(partition_in(p))
         assert sorted(covers(lam, p)) == sorted(covers_by_filter(lam, p))
 
 
@@ -186,7 +213,7 @@ class TestQuantumTarget:
     @given(small_params, st.data())
     @settings(max_examples=60, deadline=None)
     def test_existence_and_weight(self, p, data):
-        lam = data.draw(partitions_of(p))
+        lam = data.draw(partition_in(p))
         star = quantum_target(lam, p)
         exists = lam[0] == p.box_width and lam[-1] > 0
         assert (star is not None) == exists
@@ -204,7 +231,7 @@ class TestDuality:
     @given(small_params, st.data())
     @settings(max_examples=60, deadline=None)
     def test_involution(self, p, data):
-        lam = data.draw(partitions_of(p))
+        lam = data.draw(partition_in(p))
         mu = dual_partition(lam, p)
         assert is_valid_partition(mu, p.dual())
         assert dual_partition(mu, p.dual()) == lam
@@ -218,7 +245,7 @@ class TestDuality:
     @given(small_params, st.data())
     @settings(max_examples=40, deadline=None)
     def test_covers_commute_with_duality(self, p, data):
-        lam = data.draw(partitions_of(p))
+        lam = data.draw(partition_in(p))
         q = p.dual()
         dual_covers = {dual_partition(mu, p) for mu in covers(lam, p)}
         assert dual_covers == set(covers(dual_partition(lam, p), q))

@@ -1,7 +1,8 @@
 """Library code that only tests call belongs in tests/oracles.py, not src/,
-a default that no caller changes is a constant, the package runs on numpy
-alone, the rank cap is checked only in the CLI, and CI runs the Tier-1
-command of ROADMAP.md."""
+no module of the package imports another's private names, a default that
+no caller changes is a constant, the package runs on numpy alone, the rank
+cap is checked only in the CLI, and CI runs the Tier-1 command of
+ROADMAP.md."""
 
 import ast
 import re
@@ -36,17 +37,29 @@ def references(tree):
     return out
 
 
-def test_every_public_name_is_used_in_src_or_by_acceptance():
+def test_every_public_name_is_used_in_src():
     # __init__ only re-exports, so its imports do not count as uses
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     used = set().union(*(references(tree) for tree in trees.values()))
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    used |= {alias.name for node in ast.walk(acceptance)
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in public_definitions(tree) - used)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name shared across modules is public; relative or absolute imports,
+    # also inside a function
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "chevalley":
+                continue
+            found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"
 
 
 def test_src_never_imports_scipy():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chevalley.combinatorics import GrassmannianParams
+from chevalley.combinatorics import GrassmannianParams, rotation_orbits
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
 from chevalley import spectral, symfunc
@@ -12,10 +12,11 @@ from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
                                 eigen_residual, principal_eigenvalue,
                                 property_o_check, spectral_report,
                                 spectrum_closed_form)
-from chevalley.symfunc import (_index_table, central_index, enumerate_indices,
+from chevalley.symfunc import (central_index, enumerate_indices,
                                rietsch_eigenvector, roots_tuple)
 
-from oracles import multiset_invariant_under, shifted
+from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, multiset_invariant_under,
+                     shifted)
 
 
 def sorted_complex(values):
@@ -230,10 +231,9 @@ class TestEigenResidual:
         for I in enumerate_indices(p):
             assert eigen_residual(I, p, op) < 1e-9
 
-    @pytest.mark.parametrize("I", [(0, 2), (-1, 1, 3), (1, 1), (9, 11),
-                                   (1, -1), (7, 9)])
-    def test_rejects_a_tuple_that_is_not_an_index(self, I):
-        p = GrassmannianParams(2, 5)
+    @pytest.mark.parametrize("I,kn", NOT_AN_INDEX, ids=NOT_AN_INDEX_IDS)
+    def test_rejects_a_tuple_that_is_not_an_index(self, I, kn):
+        p = GrassmannianParams(*kn)
         with pytest.raises(ValueError):
             eigen_residual(I, p, c1_operator(p))
 
@@ -292,7 +292,7 @@ class TestPropertyO:
         for n in range(2, 11):
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
-                rot = _index_table(p)[1]
+                rot = rotation_orbits(p)[1]
                 assert sorted(rot.tolist()) == list(range(p.rank))
                 indices = enumerate_indices(p)
                 assert [indices[r] for r in rot] == [shifted(I, n) for I in indices]

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.combinatorics import GrassmannianParams, enumerate_partitions
-from chevalley.symfunc import (_index_table, _orbit_vector, _vertex_tables,
-                               central_index, enumerate_indices,
-                               homogeneous_table, rietsch_eigenvector,
-                               roots_tuple, schur_eval, schur_values_box)
+from chevalley.combinatorics import GrassmannianParams, rotation_orbits
+from chevalley.symfunc import (_orbit_vector, _vertex_tables, central_index,
+                               enumerate_indices, homogeneous_table,
+                               rietsch_eigenvector, roots_tuple, schur_eval)
 
-from oracles import TAU_ALG, h_monomial, schur_brute, shifted
+from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, TAU_ALG,
+                     enumerate_partitions, h_monomial, schur_brute,
+                     schur_values_box, shifted)
 
 RNG = np.random.default_rng(20240817)
 
@@ -159,7 +160,7 @@ class TestRietschEigenvector:
             for k in range(1, n):
                 p = GrassmannianParams(k, n)
                 indices = enumerate_indices(p)
-                _, _, start, m = _index_table(p)
+                _, _, start, m = rotation_orbits(p)
                 for I, s, m_I in zip(indices, start, m):
                     orbit = [I]
                     while (nxt := shifted(orbit[-1], n)) != I:
@@ -171,12 +172,16 @@ class TestRietschEigenvector:
                     assert (orbit.index(rep) + m_I) % len(orbit) == 0
                     assert 0 <= m_I < len(orbit)
 
-    @pytest.mark.parametrize("I", [(0, 2), (-1, 1, 3), (1, 1), (9, 11),
-                                   (1, -1), (7, 9)])
-    def test_rejects_a_tuple_that_is_not_an_index(self, I):
-        # Gr(2,5) indices are strictly increasing pairs from -1, 1, 3, 5, 7
+    @pytest.mark.parametrize("I,kn", NOT_AN_INDEX, ids=NOT_AN_INDEX_IDS)
+    def test_rejects_a_tuple_that_is_not_an_index(self, I, kn):
         with pytest.raises(ValueError):
-            rietsch_eigenvector(I, GrassmannianParams(2, 5))
+            rietsch_eigenvector(I, GrassmannianParams(*kn))
+
+    def test_accepts_numpy_integer_entries(self):
+        p = GrassmannianParams(2, 5)
+        I = tuple(np.array([-1, 3]))
+        want = rietsch_eigenvector((-1, 3), p)
+        assert np.array_equal(rietsch_eigenvector(I, p), want)
 
     def test_never_zero(self):
         for n in range(2, 8):
@@ -189,7 +194,7 @@ class TestRietschEigenvector:
         # Gr(8,16): the index table, the vertex tables and one orbit vector
         # peak at 2.9 MB, pinned with about 2x margin
         p = GrassmannianParams(8, 16)
-        for cached in (_index_table, _vertex_tables, _orbit_vector):
+        for cached in (rotation_orbits, _vertex_tables, _orbit_vector):
             cached.cache_clear()
         tracemalloc.start()
         try:
