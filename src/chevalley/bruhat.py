@@ -4,7 +4,7 @@ Vertices are the box partitions; there is an edge lam -> mu whenever sigma_mu
 appears in the divisor multiplication sigma_(1) * sigma_lam.  On the ring of
 combinatorics.ring_states each edge is one particle hopping clockwise to an
 empty site: a cover (degree 0) adds one box, and the single wrap from site
-n-1 to site 0 is the q-edge (degree 1).
+n-1 to site 0 is the q-edge (degree 1).  For k > n/2 the holes hop instead.
 """
 
 from __future__ import annotations
@@ -28,14 +28,19 @@ class QuantumEdge:
 
 @dataclass(eq=False)
 class QuantumBruhatGraph:
-    """Vertex i sits at the sites states[i], of lex rank ranks[i]; column e
-    of edge_table holds (source, target, degree) of edge e in export order.
-    Partition tuples and QuantumEdges are made only when read."""
+    """sites[i]: vertex i's k occupied sites, or for k > n/2 its n-k empty ones,
+    ascending; states (the occupied ones), partition tuples and QuantumEdges are
+    made when read.  Column e of edge_table is edge e's (source, target, degree)."""
 
     params: GrassmannianParams
-    states: np.ndarray
-    ranks: np.ndarray
+    sites: np.ndarray
     edge_table: np.ndarray
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        n, k = self.params.n, self.params.k  # complement reverses lex order
+        return self.sites if 2 * k <= n else empty_sites(n, n - k).T.take(
+            lex_rank(self.sites, n), axis=1).T
 
     @cached_property
     def vertices(self) -> list[Partition]:
@@ -63,22 +68,11 @@ class _Edges:
             yield QuantumEdge(v[s], v[t], d)
 
 
-def _vertex_of(ranks: np.ndarray) -> np.ndarray:
-    """Canonical index of each lex rank: the inverse permutation."""
-    vertex = np.empty_like(ranks)
-    vertex[ranks] = np.arange(len(ranks))
-    return vertex
-
-
-def build_graph(params: GrassmannianParams) -> QuantumBruhatGraph:
-    """All particle hops, from one (rank, k+1) table of the moves out of
-    each vertex: column c < k hops particle k-1-c, the top one first, so the
-    cover targets come in canonical order; column k wraps the top one to 0.
-    Each column is filled by 1-D passes over one particle's contiguous sites.
-
-    Edges are emitted in deterministic order: sources in canonical vertex
-    order, cover targets by canonical index, then the degree-1 edge.
-    """
+def _hop_table(params: GrassmannianParams):
+    """(states, ranks, hops, lex): the ring states, their lex ranks, and the
+    (rank, k+1) tables of each vertex's moves, whether each exists and its
+    target's lex rank, a column per 1-D pass over one particle's sites: c < k
+    hops particle k-1-c (the top one first: covers in canonical order), k wraps."""
     k, n = params.k, params.n
     states, ranks = ring_states(params)
     sites, binom = states.T, banded_binomials(n, k)  # sites[p]: particle p
@@ -93,12 +87,53 @@ def build_graph(params: GrassmannianParams) -> QuantumBruhatGraph:
     np.logical_and(sites[-1] == n - 1, sites[0] > 0, out=hops[:, k])
     wraps = np.flatnonzero(hops[:, k])
     lex[wraps, k] = lex_rank(sites[:-1].take(wraps, axis=1).T - 1, n - 1)
-    flat = np.flatnonzero(hops)  # source-major, as np.nonzero exports
+    return states, ranks, hops, lex
+
+
+def _edge_table(hops, lex, ranks, order=None, cols=None) -> np.ndarray:
+    """(source, target, degree) of each hop, source-major as np.nonzero
+    exports: hop (r, c) has the target of lex rank lex[order[r], cols[c]]
+    (lex[r, c] without them), and lex rank ranks[i] is vertex i."""
+    flat = np.flatnonzero(hops)
     table = np.empty((3, len(flat)), dtype=ranks.dtype)
-    np.divmod(flat, k + 1, out=(table[0], table[2]))
-    np.take(_vertex_of(ranks), lex.ravel().take(flat), out=table[1], mode="clip")
-    np.equal(table[2], k, out=table[2])
-    return QuantumBruhatGraph(params, states, ranks, table)
+    np.divmod(flat, hops.shape[1], out=(table[0], table[2]))
+    if order is not None:  # each hop's place in lex: no reordered copy of it
+        np.take(order * hops.shape[1], table[0], out=flat)
+        flat += cols.take(table[2])
+    vertex = np.empty_like(ranks)  # the inverse permutation
+    vertex[ranks] = np.arange(len(ranks))
+    np.take(vertex, lex.ravel().take(flat), out=table[1], mode="clip")
+    np.equal(table[2], hops.shape[1] - 1, out=table[2])
+    return table
+
+
+_held = {}  # the hop table of a k > n/2 build's dual, until the next build
+
+
+def build_graph(params: GrassmannianParams) -> QuantumBruhatGraph:
+    """All particle hops, from the hop table of Gr(k,n), or for k > n/2 of
+    its dual Gr(n-k,n): lam's conjugate sits at n-1-(lam's empty sites), a
+    particle's hop is a hole's hop back, and canonical order is weight, then
+    the conjugate's lex rank descending.  So one argsort orders the rows and
+    the dual's covers, read bottom particle first, keep the targets in order.
+    The dual's table is held for the next build, to reuse if it is either.
+
+    Edges are emitted in deterministic order: sources in canonical vertex
+    order, cover targets by canonical index, then the degree-1 edge.
+    """
+    k, n = params.k, params.n
+    key = params if 2 * k <= n else params.dual()
+    sites, ranks, hops, lex = _held.pop(key, None) or _hop_table(key)
+    _held.clear()
+    if key == params:
+        return QuantumBruhatGraph(params, sites, _edge_table(hops, lex, ranks))
+    _held[key] = sites, ranks, hops, lex
+    order = np.argsort(params.rank * sum(sites.T) - ranks)
+    cols = np.arange(n - k - 1, -2, -1) % (n - k + 1)  # covers bottom first, wrap last
+    hops = hops[:, cols].take(order, 0)
+    table = _edge_table(hops, lex, ranks.take(order), order, cols)
+    holes = sites.T.take(order, 1)[::-1]  # reversed rows, each still contiguous
+    return QuantumBruhatGraph(params, np.subtract(n - 1, holes, out=holes).T, table)
 
 
 class IncidenceOperator:
@@ -122,6 +157,8 @@ class IncidenceOperator:
         return dense
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if np.shape(v) != self.shape[1:]:
+            raise ValueError(f"need shape {self.shape[1:]}, got {np.shape(v)}")
         out = np.zeros(self.shape[0], np.result_type(v, self.weight))
         np.add.at(out, self.target, np.multiply(v, self.weight).take(self.source))
         return out
@@ -130,14 +167,10 @@ class IncidenceOperator:
 def _perron_vector(graph: QuantumBruhatGraph) -> np.ndarray:
     """The Perron vector of the hop operator, up to scale: the product of
     sin(pi (s_j - s_i) / n) over pairs i < j of occupied sites, the Schur
-    values at Rietsch's totally positive point.  When the empty sites are
-    fewer (k > n/2) the product runs over them (combinatorics.empty_sites,
-    read at each vertex's lex rank), which agrees up to scale.  Every factor
-    lies in (0, 1], so the vector is > 0."""
-    k, n = graph.params.k, graph.params.n
-    columns = graph.states.T
-    if 2 * k > n:
-        columns = empty_sites(n, k).T.take(graph.ranks, axis=1)
+    values at Rietsch's totally positive point, or for k > n/2 of the empty
+    sites, ascending as the graph keeps them, which agrees up to scale.
+    Every factor lies in (0, 1], so the vector is > 0."""
+    n, columns = graph.params.n, graph.sites.T
     sine = np.sin(np.pi * np.arange(n) / n)
     vector = np.ones(columns.shape[1])
     for j in range(1, len(columns)):
@@ -153,7 +186,7 @@ def incidence_matrix(graph: QuantumBruhatGraph,
     acts on coefficient vectors by left multiplication.  Its `start` is the
     closed-form Perron vector of the ring states."""
     source, target, _ = graph.edge_table
-    operator = IncidenceOperator(source, target, len(graph.states), weight)
+    operator = IncidenceOperator(source, target, graph.params.rank, weight)
     operator.start = _perron_vector(graph)
     return operator
 

@@ -121,8 +121,10 @@ def _sweep_row(k, n, tol, rank_cap):
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise ValueError("need n_max >= 2")
-    rows = [_sweep_row(k, n, args.tol, args.rank_cap)
-            for n in range(2, args.n_max + 1) for k in range(1, n)]
+    # each k > n/2 right before its dual, which reuses its hop table (build_graph)
+    rows = [_sweep_row(k, n, args.tol, args.rank_cap) for n in range(2, args.n_max + 1)
+            for k in sorted(range(1, n), key=lambda k: (abs(n - 2 * k), -k))]
+    rows.sort(key=lambda row: (row["n"], row["k"]))
     if args.format == "json":
         print(json.dumps(rows, separators=(",", ":")))
     else:

@@ -11,6 +11,10 @@ textbook description of the quantum Bruhat graph that the particle-hop
 construction must reproduce.  The one exception is the Jacobi-Trudi box
 oracle schur_values_box: it reads symfunc.homogeneous_table, which
 test_symfunc checks against the monomial sums of h_monomial.
+build_graph_by_particles is a second kind of reference: the graph build by
+one pass per occupied site for every k, on combinatorics.ring_states (which
+test_combinatorics checks against ring_states_by_sort), that the build for
+k > n/2 from the dual's hop table must reproduce byte for byte.
 """
 
 from functools import lru_cache
@@ -22,6 +26,9 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from chevalley import galkin
+from chevalley.bruhat import QuantumBruhatGraph
+from chevalley.combinatorics import (banded_binomials, empty_sites, lex_rank,
+                                     ring_states)
 from chevalley.symfunc import homogeneous_table
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
@@ -100,6 +107,35 @@ def ring_states_by_sort(k, n):
     reflected = [position[row] for row in map(tuple, (n - 1 - rows[:, ::-1]).tolist())]
     order = np.argsort(rows.sum(axis=1) * len(rows) + np.array(reflected))
     return rows[order], order
+
+
+def build_graph_by_particles(params):
+    """The quantum Bruhat graph from one (rank, k+1) table of the moves out
+    of each vertex, for every k: column c < k hops particle k-1-c, the top
+    one first, column k wraps the top one from n-1 to 0, and the hops are
+    exported source-major.  Its sites are the occupied ones, or for k > n/2
+    the empty ones (empty_sites, read at each vertex's lex rank)."""
+    k, n = params.k, params.n
+    states, ranks = ring_states(params)
+    sites, binom = states.T, banded_binomials(n, k)
+    hops = np.empty((len(ranks), k + 1), dtype=bool)
+    lex = np.empty(hops.shape, dtype=ranks.dtype)
+    # particle p covers if the site on is empty (the top one: if below n-1),
+    # adding C(n-2-a, k-1-p) to the lex rank from site a >= p (a = n-1 wraps)
+    for p, c in zip(range(k), range(k - 1, -1, -1)):
+        np.greater((sites[p + 1] if c else n) - sites[p], 1, out=hops[:, c])
+        np.add(ranks, binom[:, c].take(n - 2 - sites[p], mode="wrap"), out=lex[:, c])
+    # the top one wraps from n-1 into (0, T), T = sites[:-1] >= 1: rank T-1
+    np.logical_and(sites[-1] == n - 1, sites[0] > 0, out=hops[:, k])
+    wraps = np.flatnonzero(hops[:, k])
+    lex[wraps, k] = lex_rank(sites[:-1].take(wraps, axis=1).T - 1, n - 1)
+    vertex = np.empty_like(ranks)
+    vertex[ranks] = np.arange(len(ranks))
+    source, column = np.nonzero(hops)
+    table = np.stack([source, vertex[lex[source, column]], column == k]).astype(ranks.dtype)
+    if 2 * k > n:
+        states = empty_sites(n, k)[ranks]
+    return QuantumBruhatGraph(params, states, table)
 
 
 def strongly_connected_by_csgraph(matrix):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chevalley import bruhat
 from chevalley.bruhat import (IncidenceOperator, build_graph, export_graph,
                               incidence_matrix, is_strongly_connected)
-from chevalley.combinatorics import GrassmannianParams
-from oracles import (covers, dual_partition, quantum_target,
-                     strongly_connected_by_csgraph)
+from chevalley.combinatorics import GrassmannianParams, ring_states
+from oracles import (build_graph_by_particles, covers, dual_partition,
+                     quantum_target, strongly_connected_by_csgraph)
 
 
 def all_params(n_max):
@@ -208,6 +209,14 @@ class TestIncidenceOperator:
         assert (m @ np.array([1.0, 2.0])).tolist() == [6.0, 6.0]
 
 
+    # (size, 2), (size + 2,) and (size - 1,) for Gr(2,4), of size 6
+    @pytest.mark.parametrize("shape", [(6, 2), (8,), (5,)])
+    def test_rejects_any_shape_but_size(self, shape):
+        m = incidence_matrix(build_graph(GrassmannianParams(2, 4)))
+        with pytest.raises(ValueError, match=r"need shape \(6,\)"):
+            m @ np.ones(shape)
+
+
 class TestRotationQuotient:
     """Moving every particle one site on around the ring is an automorphism
     of the graph, so the Perron vector is constant on its orbits."""
@@ -298,6 +307,45 @@ class TestDualityIsomorphism:
                        e.degree) for e in g.edges}
             actual = {(e.source, e.target, e.degree) for e in gd.edges}
             assert mapped == actual
+
+
+class TestDualBuild:
+    """For k > n/2 the graph is the dual Gr(n-k,n)'s hop table relabelled;
+    it must match the build by one pass per occupied site byte for byte."""
+
+    @staticmethod
+    def assert_same(g, want):
+        assert g.edge_table.dtype == want.edge_table.dtype
+        assert g.edge_table.tobytes() == want.edge_table.tobytes()
+        assert (incidence_matrix(g).start.tobytes()
+                == incidence_matrix(want).start.tobytes())
+
+    def test_matches_the_per_particle_build(self):
+        for p in [*all_params(18), GrassmannianParams(82, 85)]:
+            if 2 * p.k > p.n:
+                g = build_graph(p)
+                self.assert_same(g, build_graph_by_particles(p))
+                assert np.array_equal(g.states, ring_states(p)[0])
+                assert g.states.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("k,n", [(2, 3), (5, 8), (9, 16)])
+    def test_dual_takes_the_held_table(self, k, n):
+        p = GrassmannianParams(k, n)
+        fresh, fresh_dual = build_graph(p), build_graph(p.dual())
+        assert not bruhat._held
+        self.assert_same(build_graph(p), fresh)
+        self.assert_same(build_graph(p), fresh)  # a repeat reuses it too
+        assert list(bruhat._held) == [p.dual()]
+        paired = build_graph(p.dual())
+        assert not bruhat._held
+        self.assert_same(paired, fresh_dual)
+        assert np.array_equal(paired.states, fresh_dual.states)
+
+    def test_other_builds_drop_the_held_table(self):
+        build_graph(GrassmannianParams(5, 8))
+        self.assert_same(build_graph(GrassmannianParams(2, 5)),
+                         build_graph_by_particles(GrassmannianParams(2, 5)))
+        assert not bruhat._held
 
 
 class TestExport:

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from chevalley import cli, spectral, symfunc
+from chevalley import bruhat, cli, spectral, symfunc
 from chevalley.cli import main
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
 from chevalley.symfunc import enumerate_indices
+from oracles import build_graph_by_particles
 
 
 def run_cli(*argv):
@@ -200,6 +201,17 @@ class TestSweep:
         b = run_cli("sweep", "--n-max", "6", "--format", "json")
         assert a == b
 
+    def test_bytes_match_the_per_particle_build(self, monkeypatch):
+        # sweep runs each k > n/2 on its dual's hop table, then the dual on
+        # the same table; the floats differ between platforms, so the two
+        # runs are compared here rather than against a committed digest
+        argv = ("sweep", "--n-max", "18", "--format", "json")
+        got = run_cli(*argv)
+        for module in (bruhat, spectral):
+            monkeypatch.setattr(module, "build_graph", build_graph_by_particles)
+        assert got == run_cli(*argv)
+        assert got[0] == 0
+
 
 class TestGraph:
     def test_json_gr24(self):
@@ -225,6 +237,18 @@ class TestGraph:
                 digest.update(out.encode())
         assert digest.hexdigest() == (
             "a8181ef37ea4e811868c1a5265510d267d854fb59d9fadb53c9b7eaacd4ee5aa")
+
+    def test_json_bytes_k_above_half_n10_to_n14(self):
+        # built from the dual's hop table; integers only, as above
+        digest = hashlib.sha256()
+        for n in range(10, 15):
+            for k in range(n // 2 + 1, n):
+                code, out, _ = run_cli("graph", "--k", str(k), "--n", str(n),
+                                       "--format", "json")
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "8b86223337d6a8b64d4a973da8b5a0fef026fa31953290626442a5185ba74757")
 
     def test_dot_gr12(self):
         code, out, _ = run_cli("graph", "--k", "1", "--n", "2", "--format", "dot")

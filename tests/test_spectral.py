@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -54,6 +56,22 @@ class TestOperator:
                   rng.standard_normal(size) + 1j * rng.standard_normal(size)):
             v[rng.random(size) < 0.5] = -0.0
             assert (m @ v).tobytes() == (csr @ v).tobytes()
+
+
+    def test_dual_pair_peaks_stay_under_the_middle_one(self):
+        # a memory guard: sweep builds Gr(9,16), which holds its dual's hop
+        # table, right before Gr(7,16); neither may peak above Gr(8,16)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for k in (8, 9, 7):
+                tracemalloc.reset_peak()
+                c1_operator(GrassmannianParams(k, 16))
+                peaks[k] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(peaks[9], peaks[7]) <= peaks[8], peaks
 
 
 class TestPrincipalEigenvalue:
