@@ -132,10 +132,10 @@ def build_graph_by_particles(params):
     vertex = np.empty_like(ranks)
     vertex[ranks] = np.arange(len(ranks))
     source, column = np.nonzero(hops)
-    table = np.stack([source, vertex[lex[source, column]], column == k]).astype(ranks.dtype)
+    table = np.stack([source, vertex[lex[source, column]], column == k])
     if 2 * k > n:
         states = empty_sites(n, k)[ranks]
-    return QuantumBruhatGraph(params, states, table)
+    return QuantumBruhatGraph(params, states, table.astype(ranks.dtype))
 
 
 def strongly_connected_by_csgraph(matrix):

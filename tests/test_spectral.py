@@ -57,7 +57,6 @@ class TestOperator:
             v[rng.random(size) < 0.5] = -0.0
             assert (m @ v).tobytes() == (csr @ v).tobytes()
 
-
     def test_dual_pair_peaks_stay_under_the_middle_one(self):
         # a memory guard: sweep builds Gr(9,16), which holds its dual's hop
         # table, right before Gr(7,16); neither may peak above Gr(8,16)
