@@ -250,6 +250,18 @@ class TestGraph:
         assert digest.hexdigest() == (
             "8b86223337d6a8b64d4a973da8b5a0fef026fa31953290626442a5185ba74757")
 
+    def test_dot_bytes_up_to_n10(self):
+        # integers only, as above; k > n/2 comes from the dual's hop table
+        digest = hashlib.sha256()
+        for n in range(2, 11):
+            for k in range(1, n):
+                code, out, _ = run_cli("graph", "--k", str(k), "--n", str(n),
+                                       "--format", "dot")
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "e58f1dc48e59b9ad67b495db01707ee93ae7b6131b1ddbc593f08b36b7bb94df")
+
     def test_dot_gr12(self):
         code, out, _ = run_cli("graph", "--k", "1", "--n", "2", "--format", "dot")
         assert code == 0
