@@ -19,18 +19,12 @@ from .combinatorics import (GrassmannianParams, Partition, banded_binomials,
                             empty_sites, lex_rank, partitions_of, ring_states)
 
 
-@dataclass(frozen=True)
-class QuantumEdge:
-    source: Partition
-    target: Partition
-    degree: int  # power of q contributed, 0 or 1
-
-
 @dataclass(eq=False)
 class QuantumBruhatGraph:
     """sites[i]: vertex i's k occupied sites, or for k > n/2 its n-k empty ones,
-    ascending; states (the occupied ones), partition tuples and QuantumEdges are
-    made when read.  Column e of edge_table is edge e's (source, target, degree)."""
+    ascending; states (the occupied ones) and partition tuples are made when
+    read.  Column e of edge_table is edge e's (source, target, degree), and
+    edges is its (nnz, 3) transposed view: one row per edge."""
 
     params: GrassmannianParams
     sites: np.ndarray
@@ -47,25 +41,12 @@ class QuantumBruhatGraph:
         return partitions_of(self.states)
 
     @property
-    def edges(self) -> _Edges:
-        return _Edges(self)
+    def edges(self) -> np.ndarray:
+        return self.edge_table.T
 
     @property
     def quantum_edge_count(self) -> int:
         return int(self.edge_table[2].sum())
-
-
-@dataclass
-class _Edges:
-    graph: QuantumBruhatGraph
-
-    def __len__(self) -> int:
-        return self.graph.edge_table.shape[1]
-
-    def __iter__(self):
-        v = self.graph.vertices
-        for s, t, d in zip(*self.graph.edge_table.tolist()):
-            yield QuantumEdge(v[s], v[t], d)
 
 
 def _hop_table(params: GrassmannianParams):
@@ -151,11 +132,6 @@ class IncidenceOperator:
         self.shape, self.weight, self.nnz = (size, size), weight, len(self.source)
         self.start = None
 
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self.target, self.source), self.weight)
-        return dense
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if np.shape(v) != self.shape[1:]:
             raise ValueError(f"need shape {self.shape[1:]}, got {np.shape(v)}")
@@ -209,29 +185,26 @@ def is_strongly_connected(operator: IncidenceOperator) -> bool:
     return True
 
 
-def _fmt(lam: Partition) -> str:
-    return "(" + ",".join(str(x) for x in lam) + ")"
-
-
 def export_graph(graph: QuantumBruhatGraph, format: str) -> str:
-    """Serialize to DOT or JSON; byte-deterministic for a fixed instance."""
+    """Serialize to DOT or JSON, byte-deterministic for a fixed instance: one
+    pass over the rows of graph.edges, each vertex's DOT name made once."""
     if format == "dot":
-        lines = ["digraph g {"]
-        lines.extend(f'  "{_fmt(lam)}";' for lam in graph.vertices)
-        lines.extend(f'  "{_fmt(e.source)}" -> "{_fmt(e.target)}" [q={e.degree}];'
-                     for e in graph.edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        obj = {
-            "k": graph.params.k,
-            "n": graph.params.n,
-            "vertex_count": len(graph.vertices),
-            "edge_count": len(graph.edges),
-            "quantum_edge_count": graph.quantum_edge_count,
-            "vertices": [list(lam) for lam in graph.vertices],
-            "edges": [{"src": s, "dst": t, "q": d}
-                      for s, t, d in zip(*graph.edge_table.tolist())],
-        }
-        return json.dumps(obj, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown format {format!r} (expected 'dot' or 'json')")
+        names = [f'"({",".join(map(str, lam))})"' for lam in graph.vertices]
+        edge = lambda s, t, d: f"  {names[s]} -> {names[t]} [q={d}];"
+    elif format == "json":
+        edge = lambda s, t, d: {"src": s, "dst": t, "q": d}
+    else:
+        raise ValueError(f"unknown format {format!r} (expected 'dot' or 'json')")
+    edges = [edge(s, t, d) for s, t, d in graph.edges.tolist()]
+    if format == "dot":
+        return "\n".join(["digraph g {", *(f"  {v};" for v in names), *edges, "}\n"])
+    obj = {
+        "k": graph.params.k,
+        "n": graph.params.n,
+        "vertex_count": len(graph.vertices),
+        "edge_count": len(edges),
+        "quantum_edge_count": graph.quantum_edge_count,
+        "vertices": [list(lam) for lam in graph.vertices],
+        "edges": edges,
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"

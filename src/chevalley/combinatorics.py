@@ -41,10 +41,6 @@ class GrassmannianParams:
     def rank(self) -> int:
         return comb(self.n, self.k)
 
-    @property
-    def box_width(self) -> int:
-        return self.n - self.k
-
     def dual(self) -> "GrassmannianParams":
         """Parameters of the isomorphic Grassmannian Gr(n-k, n)."""
         return GrassmannianParams(self.n - self.k, self.n)

@@ -14,7 +14,9 @@ test_symfunc checks against the monomial sums of h_monomial.
 build_graph_by_particles is a second kind of reference: the graph build by
 one pass per occupied site for every k, on combinatorics.ring_states (which
 test_combinatorics checks against ring_states_by_sort), that the build for
-k > n/2 from the dual's hop table must reproduce byte for byte.
+k > n/2 from the dual's hop table must reproduce byte for byte.  dense and
+edge_triples are the views of an operator and a graph that only tests read:
+the dense matrix, and the edges with partition endpoints.
 """
 
 from functools import lru_cache
@@ -48,26 +50,26 @@ def is_valid_partition(lam, params):
         return False
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         return False
-    return 0 <= lam[-1] and lam[0] <= params.box_width
+    return 0 <= lam[-1] and lam[0] <= params.n - params.k
 
 
 def enumerate_partitions(params):
     """All partitions in the k x (n-k) box in canonical order: increasing
     weight, then lexicographically descending within a weight class."""
-    parts = combinations_with_replacement(range(params.box_width, -1, -1), params.k)
+    parts = combinations_with_replacement(range(params.n - params.k, -1, -1), params.k)
     return sorted(parts, key=lambda lam: (sum(lam), [-x for x in lam]))
 
 
 def dual_partition(lam, params):
     """Conjugate (transpose) diagram, a partition for Gr(n-k, n)."""
-    return tuple(sum(1 for x in lam if x > j) for j in range(params.box_width))
+    return tuple(sum(1 for x in lam if x > j) for j in range(params.n - params.k))
 
 
 def covers(lam, params):
     """Partitions obtained from lam by adding one box, staying in the box."""
     out = []
     for i in range(params.k):
-        ceiling = params.box_width if i == 0 else lam[i - 1]
+        ceiling = params.n - params.k if i == 0 else lam[i - 1]
         if lam[i] < ceiling:
             out.append(lam[:i] + (lam[i] + 1,) + lam[i + 1:])
     return out
@@ -77,7 +79,7 @@ def quantum_target(lam, params):
     """The q-edge target: strip the full first row and one box from each
     remaining row.  Exists only when the first row is full and the last row
     is nonempty; always returned with exactly k parts (trailing zero)."""
-    if lam[0] != params.box_width or lam[-1] == 0:
+    if lam[0] != params.n - params.k or lam[-1] == 0:
         return None
     return tuple(x - 1 for x in lam[1:]) + (0,)
 
@@ -136,6 +138,21 @@ def build_graph_by_particles(params):
     if 2 * k > n:
         states = empty_sites(n, k)[ranks]
     return QuantumBruhatGraph(params, states, table.astype(ranks.dtype))
+
+
+def dense(operator):
+    """The operator's dense matrix: its weight added once per edge at
+    [target, source], so a repeated edge counts twice."""
+    matrix = np.zeros(operator.shape)
+    np.add.at(matrix, (operator.target, operator.source), operator.weight)
+    return matrix
+
+
+def edge_triples(graph):
+    """(source, target, degree) of each edge in edge order, with the
+    endpoints as partition tuples."""
+    v = graph.vertices
+    return [(v[s], v[t], d) for s, t, d in graph.edges.tolist()]
 
 
 def strongly_connected_by_csgraph(matrix):

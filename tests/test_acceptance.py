@@ -5,7 +5,8 @@ import time
 
 import numpy as np
 
-from oracles import dual_partition, fk_second_difference, schur_values_box
+from oracles import (dual_partition, edge_triples, fk_second_difference,
+                     schur_values_box)
 
 from chevalley.bruhat import build_graph
 from chevalley.combinatorics import GrassmannianParams
@@ -131,7 +132,7 @@ def test_criterion_10_duality():
              for n in range(2, 61) for k in range(1, n))
     for p in all_params(10):
         g, gd = build_graph(p), build_graph(p.dual())
-        mapped = {(dual_partition(e.source, p), dual_partition(e.target, p),
-                   e.degree) for e in g.edges}
-        ok = ok and mapped == {(e.source, e.target, e.degree) for e in gd.edges}
+        mapped = {(dual_partition(s, p), dual_partition(t, p), d)
+                  for s, t, d in edge_triples(g)}
+        ok = ok and mapped == set(edge_triples(gd))
     report(10, ok, "delta0 duality n<=60 and graph isomorphism n<=10")

@@ -10,8 +10,8 @@ from chevalley import bruhat
 from chevalley.bruhat import (IncidenceOperator, build_graph, export_graph,
                               incidence_matrix, is_strongly_connected)
 from chevalley.combinatorics import GrassmannianParams, ring_states
-from oracles import (build_graph_by_particles, covers, dual_partition,
-                     quantum_target, strongly_connected_by_csgraph)
+from oracles import (build_graph_by_particles, covers, dense, dual_partition,
+                     edge_triples, quantum_target, strongly_connected_by_csgraph)
 
 
 def all_params(n_max):
@@ -37,7 +37,7 @@ class TestBuildGraph:
     def test_gr1n_is_cycle(self, n):
         g = build_graph(GrassmannianParams(1, n))
         assert g.quantum_edge_count == 1
-        succ = {e.source: e.target for e in g.edges}
+        succ = {s: t for s, t, _ in edge_triples(g)}
         assert len(succ) == n  # out-degree one everywhere
         assert all(succ[(j,)] == ((j + 1) % n,) for j in range(n))
 
@@ -50,11 +50,20 @@ class TestBuildGraph:
             assert len(g.edges) == cover_total + q_total
             assert g.quantum_edge_count == q_total == comb(p.n - 2, p.k - 1)
 
+    @pytest.mark.parametrize("k,n", [(2, 5), (4, 8), (6, 8), (82, 85)])
+    def test_edges_are_the_rows_of_the_edge_table(self, k, n):
+        # len(graph.edges) is the edge count the benchmark's tracer reads
+        g = build_graph(GrassmannianParams(k, n))
+        assert g.edges.shape == (n * comb(n - 2, k - 1), 3)
+        assert np.shares_memory(g.edges, g.edge_table)
+        assert list(map(tuple, g.edges.tolist())) == list(zip(*g.edge_table.tolist()))
+
     def test_vertex_out_edges_are_chevalley_terms(self):
         p = GrassmannianParams(3, 6)
         g = build_graph(p)
+        edges = edge_triples(g)
         for lam in g.vertices:
-            targets = {(e.target, e.degree) for e in g.edges if e.source == lam}
+            targets = {(t, d) for s, t, d in edges if s == lam}
             expected = {(mu, 0) for mu in covers(lam, p)}
             star = quantum_target(lam, p)
             if star is not None:
@@ -67,7 +76,7 @@ class TestReferenceRule:
 
     def test_ordered_vertices_and_edges(self):
         for p in all_params(10):
-            boxed = [lam for lam in product(range(p.box_width, -1, -1), repeat=p.k)
+            boxed = [lam for lam in product(range(p.n - p.k, -1, -1), repeat=p.k)
                      if all(a >= b for a, b in zip(lam, lam[1:]))]
             vertices = sorted(boxed, key=lambda lam: (sum(lam), [-x for x in lam]))
             index = {lam: i for i, lam in enumerate(vertices)}
@@ -80,7 +89,7 @@ class TestReferenceRule:
                     expected.append((lam, star, 1))
             g = build_graph(p)
             assert g.vertices == vertices
-            assert [(e.source, e.target, e.degree) for e in g.edges] == expected
+            assert edge_triples(g) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 70), (69, 70), (3, 64)])
     def test_more_than_63_sites(self, k, n):
@@ -147,24 +156,25 @@ class TestLargeInstances:
 class TestIncidenceMatrix:
     def test_gr12(self):
         m = incidence_matrix(build_graph(GrassmannianParams(1, 2)))
-        assert m.toarray().tolist() == [[0, 1], [1, 0]]
+        assert dense(m).tolist() == [[0, 1], [1, 0]]
 
     def test_gr24(self):
         g = build_graph(GrassmannianParams(2, 4))
         m = incidence_matrix(g)
-        assert m.toarray().sum() == 8
-        assert set(m.toarray()[m.toarray() != 0]) == {1}
+        matrix = dense(m)
+        assert matrix.sum() == 8
+        assert set(matrix[matrix != 0]) == {1}
         # out-degree of (1,0): two covers, no quantum edge
         col = g.vertices.index((1, 0))
-        assert m.toarray()[:, col].sum() == 2
+        assert matrix[:, col].sum() == 2
 
     def test_support_equals_edges(self):
         for p in all_params(7):
             g = build_graph(p)
-            rows, cols = np.nonzero(incidence_matrix(g).toarray())
+            rows, cols = np.nonzero(dense(incidence_matrix(g)))
             support = {(int(r), int(c)) for r, c in zip(rows, cols)}
             index = {lam: i for i, lam in enumerate(g.vertices)}
-            edges = {(index[e.target], index[e.source]) for e in g.edges}
+            edges = {(index[t], index[s]) for s, t, _ in edge_triples(g)}
             assert support == edges
 
 
@@ -173,26 +183,26 @@ class TestIncidenceOperator:
         for p in all_params(10):
             g = build_graph(p)
             source, target, _ = g.edge_table
-            dense = np.zeros((len(g.states),) * 2)
-            dense[target, source] = 1.0
+            want = np.zeros((len(g.states),) * 2)
+            want[target, source] = 1.0
             m = incidence_matrix(g)
-            assert np.array_equal(m.toarray(), dense)
-            assert m.shape == dense.shape and m.nnz == len(g.edges)
+            assert np.array_equal(dense(m), want)
+            assert m.shape == want.shape and m.nnz == len(g.edges)
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 9), (5, 10)])
     def test_products_match_dense(self, k, n):
         rng = np.random.default_rng(k * 100 + n)
         m = incidence_matrix(build_graph(GrassmannianParams(k, n)))
-        dense = m.toarray()
+        matrix = dense(m)
         for v in (rng.standard_normal(m.shape[0]),
                   rng.standard_normal(m.shape[0])
                   + 1j * rng.standard_normal(m.shape[0])):
-            assert np.max(np.abs(m @ v - dense @ v)) < 1e-12
+            assert np.max(np.abs(m @ v - matrix @ v)) < 1e-12
 
     def test_edge_list_keeps_given_order_and_weight(self):
         m = IncidenceOperator([2, 0, 1], [1, 1, 0], 3, weight=2.5)
         assert (m.source.tolist(), m.target.tolist()) == ([2, 0, 1], [1, 1, 0])
-        assert m.toarray().tolist() == [[0, 2.5, 0], [2.5, 0, 2.5], [0, 0, 0]]
+        assert dense(m).tolist() == [[0, 2.5, 0], [2.5, 0, 2.5], [0, 0, 0]]
         assert (m @ np.array([1.0, 10.0, 100.0])).tolist() == [25.0, 252.5, 0.0]
 
     def test_integer_vector_sums_exactly(self):
@@ -200,12 +210,12 @@ class TestIncidenceOperator:
         m = incidence_matrix(build_graph(GrassmannianParams(2, 5)))
         v = np.arange(m.shape[0], dtype=np.int64) + 2**60
         assert (m @ v).dtype == np.int64
-        assert np.array_equal(m @ v, m.toarray().astype(np.int64) @ v)
+        assert np.array_equal(m @ v, dense(m).astype(np.int64) @ v)
 
     def test_repeated_edge_sums_in_dense_form(self):
-        # a repeated edge counts twice; the product and toarray() agree
+        # a repeated edge counts twice; the product and the dense form agree
         m = IncidenceOperator([0, 0, 1], [1, 1, 0], 2, weight=3.0)
-        assert m.toarray().tolist() == [[0, 3.0], [6.0, 0]]
+        assert dense(m).tolist() == [[0, 3.0], [6.0, 0]]
         assert (m @ np.array([1.0, 2.0])).tolist() == [6.0, 6.0]
 
     # (size, 2), (size + 2,) and (size - 1,) for Gr(2,4), of size 6
@@ -245,7 +255,7 @@ class TestPerronStart:
         # k > n/2 takes the product over the empty sites
         for p in all_params(10):
             m = incidence_matrix(build_graph(p), float(p.n))
-            values, vectors = np.linalg.eig(m.toarray())
+            values, vectors = np.linalg.eig(dense(m))
             top = np.argmax(values.real)
             assert abs(values[top] - np.abs(values).max()) < 1e-9 * p.n
             want = vectors[:, top].real
@@ -265,7 +275,7 @@ class TestConnectivity:
         for p in all_params(10):
             m = incidence_matrix(build_graph(p))
             assert is_strongly_connected(m)
-            assert strongly_connected_by_csgraph(m.toarray())
+            assert strongly_connected_by_csgraph(dense(m))
 
     def test_directed_path(self):
         assert not is_strongly_connected(digraph(4, [(0, 1), (1, 2), (2, 3)]))
@@ -302,9 +312,9 @@ class TestDualityIsomorphism:
         for p in all_params(10):
             g = build_graph(p)
             gd = build_graph(p.dual())
-            mapped = {(dual_partition(e.source, p), dual_partition(e.target, p),
-                       e.degree) for e in g.edges}
-            actual = {(e.source, e.target, e.degree) for e in gd.edges}
+            mapped = {(dual_partition(s, p), dual_partition(t, p), d)
+                      for s, t, d in edge_triples(g)}
+            actual = set(edge_triples(gd))
             assert mapped == actual
 
 

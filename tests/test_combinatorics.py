@@ -215,7 +215,7 @@ class TestQuantumTarget:
     def test_existence_and_weight(self, p, data):
         lam = data.draw(partition_in(p))
         star = quantum_target(lam, p)
-        exists = lam[0] == p.box_width and lam[-1] > 0
+        exists = lam[0] == p.n - p.k and lam[-1] > 0
         assert (star is not None) == exists
         if star is not None:
             assert is_valid_partition(star, p)

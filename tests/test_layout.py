@@ -1,8 +1,9 @@
-"""Library code that only tests call belongs in tests/oracles.py, not src/,
-no module of the package imports another's private names, a default that
-no caller changes is a constant, the package runs on numpy alone, the rank
-cap is checked only in the CLI, and CI runs the Tier-1 command of
-ROADMAP.md."""
+"""Library code that only tests call belongs in tests/oracles.py, not src/:
+src/ reads every public top-level name and every public method and property
+of its classes.  No module of the package imports another's private names, a
+default that no caller changes is a constant, the package runs on numpy
+alone, the rank cap is checked only in the CLI, and CI runs the Tier-1
+command of ROADMAP.md."""
 
 import ast
 import re
@@ -26,6 +27,15 @@ def public_definitions(tree):
     return {name for name in names if not name.startswith("_")}
 
 
+def public_members(tree):
+    """(class, name) of each method and property, cached or not, without a
+    leading _ on a class anywhere in the module; dataclass fields are
+    annotations, not functions, so they are left out, and so are dunders."""
+    return {(node.name, f.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for f in node.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+
+
 def references(tree):
     """Names read anywhere in the module, as bare names or as attributes."""
     out = set()
@@ -45,6 +55,15 @@ def test_every_public_name_is_used_in_src():
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in public_definitions(tree) - used)
     assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
+def test_every_public_member_is_used_in_src():
+    # a read of the attribute name anywhere in src/ counts, on any object
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    used = set().union(*map(references, trees))
+    unused = sorted(f"{cls}.{name}" for tree in trees
+                    for cls, name in public_members(tree) if name not in used)
+    assert not unused, f"members of src/ classes used only outside it: {unused}"
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -17,8 +17,8 @@ from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
 from chevalley.symfunc import (central_index, enumerate_indices,
                                rietsch_eigenvector, roots_tuple)
 
-from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, multiset_invariant_under,
-                     shifted)
+from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, dense,
+                     multiset_invariant_under, shifted)
 
 
 def sorted_complex(values):
@@ -28,19 +28,19 @@ def sorted_complex(values):
 class TestOperator:
     def test_gr12(self):
         m = c1_operator(GrassmannianParams(1, 2))
-        assert m.toarray().tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert dense(m).tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
     def test_gr24_entries(self):
         m = c1_operator(GrassmannianParams(2, 4))
-        dense = m.toarray()
-        assert dense.shape == (6, 6)
-        assert np.count_nonzero(dense) == 8
-        assert set(np.unique(dense)) == {0.0, 4.0}
+        matrix = dense(m)
+        assert matrix.shape == (6, 6)
+        assert np.count_nonzero(matrix) == 8
+        assert set(np.unique(matrix)) == {0.0, 4.0}
 
     def test_gr25_entries(self):
         m = c1_operator(GrassmannianParams(2, 5))
         assert m.shape == (10, 10)
-        assert np.count_nonzero(m.toarray()) == 15
+        assert np.count_nonzero(dense(m)) == 15
 
 
     @pytest.mark.parametrize("k,n", [(6, 12), (2, 40), (5, 11)])
@@ -50,7 +50,7 @@ class TestOperator:
         # byte-identical; -0.0 entries (eigenvectors have them) included
         rng = np.random.default_rng(n)
         m = c1_operator(GrassmannianParams(k, n))
-        csr = sp.csr_matrix(m.toarray())
+        csr = sp.csr_matrix(dense(m))
         size = m.shape[0]
         for v in (rng.standard_normal(size),
                   rng.standard_normal(size) + 1j * rng.standard_normal(size)):
