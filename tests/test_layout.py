@@ -28,9 +28,9 @@ def public_definitions(tree):
 
 
 def public_members(tree):
-    """(class, name) of each method and property, cached or not, without a
-    leading _ on a class anywhere in the module; dataclass fields are
-    annotations, not functions, so they are left out, and so are dunders."""
+    """(class, name) of each method and property (cached or not) of each
+    class in the module, names with a leading _ left out, dunders with them;
+    dataclass fields are annotations, not functions, so they are left out."""
     return {(node.name, f.name) for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef) for f in node.body
             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
