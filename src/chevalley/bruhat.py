@@ -89,6 +89,7 @@ def _edge_table(hops, lex, ranks, order=None, cols=None) -> np.ndarray:
 
 
 _held = {}  # the hop table of a k > n/2 build's dual, until the next build
+release_held = _held.clear  # drops that table; the CLI calls it as a command ends
 
 
 def build_graph(params: GrassmannianParams) -> QuantumBruhatGraph:

@@ -23,7 +23,7 @@ from functools import cache
 
 from . import galkin as gk
 from . import spectral as sp_mod
-from .bruhat import build_graph, export_graph
+from .bruhat import build_graph, export_graph, release_held
 from .combinatorics import GrassmannianParams
 from .errors import CrossCheckError, InstanceTooLargeError, IterationFailureError
 from .symfunc import enumerate_indices
@@ -273,6 +273,8 @@ def main(argv=None) -> int:
     except (CrossCheckError, IterationFailureError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL
+    finally:
+        release_held()  # no hop table outlives the command that built it
 
 
 if __name__ == "__main__":

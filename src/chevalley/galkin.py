@@ -98,17 +98,22 @@ def verify_galkin(params: GrassmannianParams) -> GalkinReport:
 
 def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
     """delta0(x) >= x(n-x)+1 on _grid(3, n/2) up to rounding.  The margin at x =
-    head[q] + tail[r], delta0 + (x-n/2)^2 - n^2/4 - 1, is (left @ right)[q, r]."""
+    head[q] + tail[r], delta0 + (x-n/2)^2 - n^2/4 - 1, is (left @ right)[q, r]:
+    one sin and one cos of one angle vector (head, then tail) fill both in place."""
     if n < 6:
         raise ValueError("lemma requires n >= 6")
     count = _grid_count(3.0, n / 2, grid_step)
     width = isqrt(count - 1) + 1
-    head = 3.0 + grid_step * width * np.arange(-(-count // width))
-    tail = grid_step * np.arange(width)
-    a, b, e, scale = pi * head / n, pi * tail / n, head - n / 2, n / sin(pi / n)
-    left = np.stack([scale * sin(a), scale * cos(a), 2 * e, np.ones_like(e),
-                     e * e - n * n / 4 - 1], axis=1)
-    right = np.stack([cos(b), sin(b), tail, tail * tail, np.ones_like(b)])
+    rows = -(-count // width)
+    t = np.arange(rows + width, dtype=float)  # q for the head, rows + r for the tail
+    head, tail = t[:rows], t[rows:]
+    head[:], tail[:] = 3.0 + grid_step * width * head, grid_step * (tail - rows)
+    s, c, e, scale = sin(a := pi * t / n), cos(a), head - n / 2, n / sin(pi / n)
+    left, right = np.empty((rows, 5)), np.empty((5, width))
+    left[:, 0], left[:, 1], left[:, 2], left[:, 3], left[:, 4] = (
+        scale * s[:rows], scale * c[:rows], 2 * e, 1, e * e - n * n / 4 - 1)
+    right[0], right[1], right[2], right[3], right[4] = (
+        c[rows:], s[rows:], tail, tail * tail, 1)
     return bool((left @ right).ravel()[:count].min() >= -TAU_NUM)
 
 

@@ -213,6 +213,30 @@ class TestSweep:
         assert got[0] == 0
 
 
+class TestHeldHopTable:
+    # a k > n/2 build holds its dual's hop table for the next build; only
+    # sweep builds that dual, so every command drops the table as it ends
+    @pytest.mark.parametrize("argv,dual", [
+        (("verify", "--k", "7", "--n", "10"), GrassmannianParams(3, 10)),
+        (("spectrum", "--k", "7", "--n", "10"), GrassmannianParams(3, 10)),
+        (("graph", "--k", "6", "--n", "10"), GrassmannianParams(4, 10))])
+    def test_each_command_leaves_the_slot_empty(self, monkeypatch, argv, dual):
+        held = []  # the slot as the command ends, before it is dropped
+        monkeypatch.setattr(cli, "release_held", lambda: held.append(
+            list(bruhat._held)) or bruhat.release_held())
+        assert run_cli(*argv)[0] == 0
+        assert held == [[dual]]
+        assert not bruhat._held
+
+    def test_sweep_builds_one_hop_table_per_dual_pair(self, monkeypatch):
+        built, hop_table = [], bruhat._hop_table
+        monkeypatch.setattr(bruhat, "_hop_table",
+                            lambda p: built.append(p) or hop_table(p))
+        assert run_cli("sweep", "--n-max", "10")[0] == 0
+        assert len(built) == len(set(built)) == sum(n // 2 for n in range(2, 11)) == 25
+        assert not bruhat._held
+
+
 class TestGraph:
     def test_json_gr24(self):
         code, out, _ = run_cli("graph", "--k", "2", "--n", "4", "--format", "json")

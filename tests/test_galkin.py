@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -211,6 +212,20 @@ class TestLemmaChecks:
                                 lambda x, f=f: sizes.append(np.size(x)) or f(x))
         assert check_second_proof_lemma(400)
         assert sum(sizes) == 2 * (140 + 141) + 1
+
+    def test_second_proof_lemma_makes_no_grid_sized_temporaries(self):
+        # at n = 400 the 140 x 141 margin block is the one grid-sized array;
+        # x or the bound as a 19 701-point array would add 157 608 B each
+        check_second_proof_lemma(400)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert check_second_proof_lemma(400)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 140 * 141 * 8 + 32 * 1024, peak
 
     @pytest.mark.parametrize("step", LEMMA_STEPS)
     def test_grid_count_is_the_grid_length(self, step):

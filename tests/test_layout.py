@@ -183,7 +183,7 @@ def test_ci_runs_the_tier1_command():
     assert runs[:2] == ["pip install -e .[test]", command]
     # then the benchmark's correctness gate: one loop over workload:seed
     # pairs, every workload at seed 0 and held-out seeds
-    (gate,) = runs[2:]
+    gate, smoke = runs[2:]
     pairs = re.search(r"for run in ([^;]+);", gate).group(1).replace("\\", " ").split()
     assert pairs == ["matrix-thin:0", "sweep:0", "verify:0", "verify:1", "verify:2",
                      "matrix-thin:1", "inequalities:0", "inequalities:1",
@@ -191,3 +191,13 @@ def test_ci_runs_the_tier1_command():
     assert ('bench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 1 --trace 0'
             in gate)
     assert "['correct'] is not True" in gate
+    # and one traced run per workload, failing on a wrong result or on a
+    # tracer hook that no longer reads its counts (a changed signature);
+    # a traced name absent from the package is reported, not failed
+    workloads = re.search(r"for workload in ([^;]+);", smoke).group(1).split()
+    assert workloads == ["verify", "sweep", "matrix-thin", "inequalities"]
+    assert ('bench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 1'
+            in smoke)
+    assert 'grep -q "counts not readable"' in smoke and "exit 1" in smoke
+    assert "['correct'] is not True" in smoke
+    assert "not traced" not in smoke
