@@ -5,13 +5,14 @@ codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error (including --tol outside (0, 1), a --grid-step, or an fk
 --x-min or --step, that is not finite and > 0, a non-finite fk --x-max, fk
 --k < 1, --rank-cap < 2, --max-iter or --shift < 0, a grid too large for
-memory, and a verify, spectrum or graph instance whose rank C(n,k) exceeds
---rank-cap, refused before anything is enumerated; sweep skips such a row's
-matrix route instead).  In verify, --shift is the shift of the power steps
-that certify the matrix route's Collatz-Wielandt bracket (default n), and
---max-iter caps their operator products (from the closed-form Perron vector
-one suffices).  A sweep row whose matrix route hits that cap gets the
-verdict NOT_CONVERGED.  Every command runs in one process.
+memory, a verify, spectrum or graph instance whose rank C(n,k) exceeds
+--rank-cap, refused before anything is enumerated (sweep skips such a row's
+matrix route instead), and one whose binomials overflow int64).  In verify,
+--shift is the shift of the power steps that certify the matrix route's
+Collatz-Wielandt bracket (default n), and --max-iter caps their operator
+products (from the closed-form Perron vector one suffices).  A sweep row
+whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Every
+command runs in one process.
 """
 
 from __future__ import annotations
@@ -166,10 +167,9 @@ def cmd_fk(args: argparse.Namespace) -> int:
 def cmd_inequalities(args: argparse.Namespace) -> int:
     if args.n_max < 6:
         raise ValueError("need n_max >= 6")
-    checks = []
-    for n in range(6, args.n_max + 1):
-        checks.append((f"second_proof_lemma(n={n})",
-                       lambda n=n: gk.check_second_proof_lemma(n, args.grid_step)))
+    ns = range(6, args.n_max + 1)  # TAU_NUM is read as each check runs
+    checks = [(f"second_proof_lemma(n={n})", lambda m=m: m >= -gk.TAU_NUM)
+              for n, m in zip(ns, gk.second_proof_margins(ns, args.grid_step))]
     for n in range(4, args.n_max + 1):
         checks.append((f"k2_inequality(n={n})",
                        lambda n=n: gk.check_k2_inequality(n)))
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CrossCheckError, IterationFailureError) as exc:

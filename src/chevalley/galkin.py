@@ -6,7 +6,8 @@ and an even/odd cosine sum.  F^k(x) = delta0^k(x) - k(x-k) - 1 measures the
 gap over the bound dim+1; its nonnegativity at integer points is the bound.
 These formulas apply elementwise to numpy arrays, so each grid-sampled lemma
 check is one comparison over an integer-indexed grid; the second-proof lemma's
-grid is a (rows, width) block whose margins are one rank-5 matrix product.
+grid is a (rows, width) block whose margins are one rank-5 matrix product,
+the factors of consecutive n filled in chunks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from numpy import cos, pi, sin
 from .combinatorics import GrassmannianParams
 
 TAU_NUM = 1e-9  # slack for grid-sampled inequality checks
+_CHUNK = 10  # n per second-proof chunk: at step 0.01 no chunk array tops ~128 KB
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
@@ -96,25 +98,37 @@ def verify_galkin(params: GrassmannianParams) -> GalkinReport:
                         verdict, consistent=(equality == is_pn))
 
 
-def check_second_proof_lemma(n: int, grid_step: float = 0.01) -> bool:
-    """delta0(x) >= x(n-x)+1 on _grid(3, n/2) up to rounding.  The margin at x =
-    head[q] + tail[r], delta0 + (x-n/2)^2 - n^2/4 - 1, is (left @ right)[q, r]:
-    one sin and one cos of one angle vector (head, then tail) fill both in place."""
-    if n < 6:
-        raise ValueError("lemma requires n >= 6")
-    count = _grid_count(3.0, n / 2, grid_step)
-    width = isqrt(count - 1) + 1
-    rows = -(-count // width)
-    t = np.arange(rows + width, dtype=float)  # q for the head, rows + r for the tail
-    head, tail = t[:rows], t[rows:]
-    head[:], tail[:] = 3.0 + grid_step * width * head, grid_step * (tail - rows)
-    s, c, e, scale = sin(a := pi * t / n), cos(a), head - n / 2, n / sin(pi / n)
-    left, right = np.empty((rows, 5)), np.empty((5, width))
-    left[:, 0], left[:, 1], left[:, 2], left[:, 3], left[:, 4] = (
-        scale * s[:rows], scale * c[:rows], 2 * e, 1, e * e - n * n / 4 - 1)
-    right[0], right[1], right[2], right[3], right[4] = (
-        c[rows:], s[rows:], tail, tail * tail, 1)
-    return bool((left @ right).ravel()[:count].min() >= -TAU_NUM)
+def second_proof_margins(ns, grid_step: float) -> list[float]:
+    """Least margin delta0(x) - x(n-x) - 1 over _grid(3, n/2) of each n in ns
+    (n >= 6); the lemma holds up to rounding where it is >= -TAU_NUM.  The grid
+    of n is a (rows, width) block whose margin delta0 + (x-n/2)^2 - n^2/4 - 1 at
+    x = head[q] + tail[r] is (left @ right)[q, r].  A chunk of _CHUNK n fills its
+    factors from one sin and one cos of one angle vector (heads, then tails), each
+    entry as for its n alone; each n then takes one product of its slices."""
+    margins = []
+    for lo in range(0, len(ns), _CHUNK):
+        if (n := np.array(ns[lo:lo + _CHUNK], float)).min() < 6:  # n*n cannot wrap
+            raise ValueError("lemma requires n >= 6")
+        count = [_grid_count(3.0, m / 2, grid_step) for m in n.tolist()]
+        width = np.array([isqrt(c - 1) + 1 for c in count])
+        rows = -(-np.array(count) // width)
+        sizes = np.concatenate([rows, width])  # every head, then every tail
+        starts, h = np.cumsum(sizes) - sizes, rows.sum()
+        t = np.arange(sizes.sum(), dtype=float) - np.repeat(starts, sizes)  # q; r
+        t *= np.repeat(np.concatenate([grid_step * width, [grid_step] * len(n)]), sizes)
+        t[:h] += 3.0  # heads 3 + (step*width)*q; tails step*r
+        s, c = sin(a := pi * t / np.repeat(np.tile(n, 2), sizes)), cos(a)
+        e, scale = t[:h] - np.repeat(n / 2, rows), np.repeat(n / sin(pi / n), rows)
+        left, right = np.empty((h, 5)), np.empty((5, t.size - h))
+        left[:, 0], left[:, 1], left[:, 2], left[:, 3], left[:, 4] = (
+            scale * s[:h], scale * c[:h], 2 * e, 1,
+            e * e - np.repeat(n * n / 4, rows) - 1)
+        right[0], right[1], right[2], right[3], right[4] = (
+            c[h:], s[h:], t[h:], t[h:] * t[h:], 1)
+        for q, b, r, w, k in zip(starts.tolist(), (starts[len(n):] - h).tolist(),
+                                 rows.tolist(), width.tolist(), count):
+            margins.append(float((left[q:q + r] @ right[:, b:b + w]).ravel()[:k].min()))
+    return margins
 
 
 def check_k2_inequality(n: int) -> bool:

@@ -17,11 +17,13 @@ test_combinatorics checks against ring_states_by_sort), that the build for
 k > n/2 from the dual's hop table must reproduce byte for byte.  dense and
 edge_triples are the views of an operator and a graph that only tests read:
 the dense matrix, and the edges with partition endpoints.
+second_proof_margin is the second-proof lemma one n per call, the reference
+that the chunked galkin.second_proof_margins must match bit for bit.
 """
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, isqrt
 
 import mpmath
 import numpy as np
@@ -206,6 +208,30 @@ def fk_second_difference(k, x, h=1e-5):
         val = (fk_mp(k, mpmath.mpf(x) + h) - 2 * fk_mp(k, x)
                + fk_mp(k, mpmath.mpf(x) - h)) / h ** 2
         return float(val)
+
+
+def second_proof_margin(n, grid_step):
+    """The least second-proof margin of one n, computed alone: the margin
+    delta0 + (x-n/2)^2 - n^2/4 - 1 at x = head[q] + tail[r] of the (rows, width)
+    block is (left @ right)[q, r], both factors filled in place from one sin
+    and one cos of one angle vector (head, then tail).
+    galkin.second_proof_margins must reproduce it bit for bit."""
+    if n < 6:
+        raise ValueError("lemma requires n >= 6")
+    count = galkin._grid_count(3.0, n / 2, grid_step)
+    width = isqrt(count - 1) + 1
+    rows = -(-count // width)
+    t = np.arange(rows + width, dtype=float)  # q for the head, rows + r for the tail
+    head, tail = t[:rows], t[rows:]
+    head[:], tail[:] = 3.0 + grid_step * width * head, grid_step * (tail - rows)
+    s, c = np.sin(a := np.pi * t / n), np.cos(a)
+    e, scale = head - n / 2, n / np.sin(np.pi / n)
+    left, right = np.empty((rows, 5)), np.empty((5, width))
+    left[:, 0], left[:, 1], left[:, 2], left[:, 3], left[:, 4] = (
+        scale * s[:rows], scale * c[:rows], 2 * e, 1, e * e - n * n / 4 - 1)
+    right[0], right[1], right[2], right[3], right[4] = (
+        c[rows:], s[rows:], tail, tail * tail, 1)
+    return float((left @ right).ravel()[:count].min())
 
 
 def second_proof_lemma_by_grid(n, step):

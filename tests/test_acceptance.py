@@ -11,9 +11,9 @@ from oracles import (dual_partition, edge_triples, fk_second_difference,
 from chevalley.bruhat import build_graph
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
-                              check_k2_inequality, check_limit,
-                              check_second_proof_lemma, delta0_sine, fk,
-                              fk_second_derivative, verify_galkin)
+                              check_k2_inequality, check_limit, delta0_sine,
+                              fk, fk_second_derivative, second_proof_margins,
+                              verify_galkin, TAU_NUM)
 from chevalley.spectral import (c1_operator, eigen_residual, property_o_check,
                                 spectral_report)
 from chevalley.symfunc import central_index, enumerate_indices, roots_tuple
@@ -122,7 +122,7 @@ def test_criterion_8_calculus_lemmas():
 
 
 def test_criterion_9_second_proof_inequalities():
-    ok = all(check_second_proof_lemma(n, 0.01) for n in range(6, 61))
+    ok = all(m >= -TAU_NUM for m in second_proof_margins(range(6, 61), 0.01))
     ok = ok and all(check_k2_inequality(n) for n in range(4, 10_001))
     report(9, ok, "sine-form lemma n<=60 and k=2 inequality n<=1e4")
 

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from chevalley import bruhat, cli, spectral, symfunc
+from chevalley import bruhat, cli, galkin, spectral, symfunc
 from chevalley.cli import main
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
 from chevalley.symfunc import enumerate_indices
-from oracles import build_graph_by_particles
+from oracles import build_graph_by_particles, second_proof_lemma_by_grid
 
 
 def run_cli(*argv):
@@ -355,6 +355,16 @@ class TestRankCap:
         assert run_cli("verify", "--k", "10", "--n", "30") == (
             2, "", "error: rank C(30,10) = 30045015 exceeds cap 100000\n")
 
+    @pytest.mark.parametrize("command, k, n, cap, message", [
+        ("verify", 40, 80, 10 ** 24, "C(80,40)"),
+        ("spectrum", 33, 67, 10 ** 20, "C(67,33)"),
+        ("graph", 40, 80, 10 ** 24, "C(80,40)")])
+    def test_binomials_past_int64_are_a_usage_error(self, command, k, n, cap, message):
+        # within a cap this high the binomial table overflows int64; that once
+        # escaped main as a traceback with exit 1, the code of a failed check
+        argv = [command, "--k", str(k), "--n", str(n), "--rank-cap", str(cap)]
+        assert run_cli(*argv) == (2, "", f"error: {message} does not fit in int64\n")
+
 
 class TestFk:
     def test_k2_table(self):
@@ -449,6 +459,15 @@ class TestInequalities:
         assert run_cli("inequalities", "--n-max", "8", "--grid-step", "0")[0] == 2
         assert run_cli("inequalities", "--n-max", "6") == (
             0, "all 36 inequality checks passed\n", "")
+
+    def test_failed_lemma_stops_the_suite(self, monkeypatch):
+        # TAU_NUM = -5 asks every grid point for a margin of at least 5; the
+        # suite names the least n the pointwise lemma fails and stops there
+        monkeypatch.setattr(galkin, "TAU_NUM", -5.0)
+        first = next(n for n in range(6, 100)
+                     if not second_proof_lemma_by_grid(n, 0.01))
+        assert run_cli("inequalities", "--n-max", "99") == (
+            1, f"FAIL second_proof_lemma(n={first})\n", "")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_grid_step(self, value):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from chevalley import galkin
 from chevalley.combinatorics import GrassmannianParams
-from oracles import fk_second_difference, second_proof_lemma_by_grid
+from oracles import (fk_second_difference, second_proof_lemma_by_grid,
+                     second_proof_margin)
 from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
                               check_k2_inequality, check_limit,
-                              check_second_proof_lemma, delta0_cosine_sum,
-                              delta0_sine, fk, fk_second_derivative, fk_table,
-                              verify_galkin, _grid, _grid_count)
+                              delta0_cosine_sum, delta0_sine, fk,
+                              fk_second_derivative, fk_table,
+                              second_proof_margins, verify_galkin, _grid,
+                              _grid_count)
 
 LEMMA_STEPS = [0.01, 0.37, 2.5, 1e9]  # 1e9: the one-point grid x = 3
 
@@ -167,65 +169,104 @@ class TestLemmaChecks:
             check_concavity_monotonicity(2, x_max=1.0)
 
     def test_second_proof_lemma(self):
-        for n in (6, 12, 20, 60):
-            assert check_second_proof_lemma(n, 0.01)
+        margins = second_proof_margins([6, 12, 20, 60], 0.01)
+        assert len(margins) == 4 and min(margins) >= -galkin.TAU_NUM
         with pytest.raises(ValueError):
-            check_second_proof_lemma(5)
+            second_proof_margins([5], 0.01)
+        with pytest.raises(ValueError):
+            second_proof_margins([6, 7, 5], 0.01)
+        assert second_proof_margins([], 0.01) == []
 
     @pytest.mark.parametrize("step", LEMMA_STEPS)
     def test_second_proof_lemma_matches_the_pointwise_oracle(self, step):
-        for n in range(6, 401):
-            ok = second_proof_lemma_by_grid(n, step)
-            assert check_second_proof_lemma(n, step) == ok, n
+        ns = range(6, 401)
+        for n, m in zip(ns, second_proof_margins(ns, step)):
+            assert (m >= -galkin.TAU_NUM) == second_proof_lemma_by_grid(n, step), n
+
+    @pytest.mark.parametrize("step", LEMMA_STEPS)
+    def test_second_proof_margins_match_the_per_n_oracle_bitwise(self, step):
+        ns = range(6, 401)
+        want = np.array([second_proof_margin(n, step) for n in ns]).tobytes()
+        assert np.array(second_proof_margins(ns, step)).tobytes() == want
+
+    def test_second_proof_margins_take_n_in_any_order(self):
+        ns = [400, 6, 77, 77, 13]
+        want = [second_proof_margin(n, 0.01) for n in ns]
+        assert second_proof_margins(ns, 0.01) == want
+        # n*n past int64 rounds as the per-n Python int does, without wrapping
+        n = 4_000_000_000
+        assert second_proof_margins([n], 1e9) == [second_proof_margin(n, 1e9)]
+
+    @pytest.mark.parametrize("step", LEMMA_STEPS)
+    def test_second_proof_margins_do_not_depend_on_the_chunk(self, monkeypatch, step):
+        ns = range(6, 401)
+        chunked = np.array(second_proof_margins(ns, step)).tobytes()
+        monkeypatch.setattr(galkin, "_CHUNK", 1)
+        assert np.array(second_proof_margins(ns, step)).tobytes() == chunked
 
     def test_second_proof_lemma_fails_where_the_oracle_does(self, monkeypatch):
         # TAU_NUM = -5 asks every grid point for a margin of at least 5, which
         # some n in 6..99 have and others lack; no n has a margin of 8.5
         ns = range(6, 100)
+        margins = second_proof_margins(ns, 0.01)
         monkeypatch.setattr(galkin, "TAU_NUM", -5.0)
-        passing = {n for n in ns if check_second_proof_lemma(n)}
+        passing = {n for n, m in zip(ns, margins) if m >= -galkin.TAU_NUM}
         assert passing == {n for n in ns if second_proof_lemma_by_grid(n, 0.01)}
         assert 0 < len(passing) < len(ns)
         monkeypatch.setattr(galkin, "TAU_NUM", -8.5)
-        assert not any(check_second_proof_lemma(n) for n in ns)
+        assert not any(m >= -galkin.TAU_NUM for m in margins)
 
     @pytest.mark.parametrize("step", LEMMA_STEPS[:3])
-    def test_second_proof_lemma_brackets_the_least_margin(self, monkeypatch, step):
-        # m is the pointwise least margin; TAU_NUM = -(m -+ 1e-8) asks every
-        # point for a margin of m -+ 1e-8, so passing the lower ask and failing
-        # the upper one puts the check's least margin within 1e-8 of m
-        for n in range(6, 401):
+    def test_second_proof_lemma_brackets_the_least_margin(self, step):
+        # m is the pointwise least margin; the block's least margin, the same
+        # points summed in another order, lies within 1e-8 below or above it
+        ns = range(6, 401)
+        for n, margin in zip(ns, second_proof_margins(ns, step)):
             x = _grid(3.0, n / 2, step)
             m = float(np.min(delta0_sine(x, n) - x * (n - x) - 1.0))
-            monkeypatch.setattr(galkin, "TAU_NUM", -(m - 1e-8))
-            assert check_second_proof_lemma(n, step), n
-            monkeypatch.setattr(galkin, "TAU_NUM", -(m + 1e-8))
-            assert not check_second_proof_lemma(n, step), n
+            assert m - 1e-8 <= margin < m + 1e-8, n
 
     def test_second_proof_lemma_takes_sqrt_count_sines(self, monkeypatch):
         # 19 701 points at n = 400 in a 140 x 141 block: sin and cos of each
-        # row and column angle, and sin(pi/n)
+        # row and column angle, and sin(pi/n); a chunk of n makes three calls
         sizes = []
         for name in ("sin", "cos"):
             f = getattr(galkin, name)
             monkeypatch.setattr(galkin, name,
                                 lambda x, f=f: sizes.append(np.size(x)) or f(x))
-        assert check_second_proof_lemma(400)
+        assert second_proof_margins([400], 0.01)[0] >= -galkin.TAU_NUM
         assert sum(sizes) == 2 * (140 + 141) + 1
+        sizes.clear()
+        ns = range(6, 401)
+        second_proof_margins(ns, 0.01)
+        counts = [_grid_count(3.0, n / 2, 0.01) for n in ns]
+        widths = [math.isqrt(count - 1) + 1 for count in counts]
+        assert sum(sizes) == sum(2 * (-(-count // w) + w) + 1
+                                 for count, w in zip(counts, widths))
+        assert len(sizes) == 3 * -(-len(ns) // galkin._CHUNK)
 
-    def test_second_proof_lemma_makes_no_grid_sized_temporaries(self):
-        # at n = 400 the 140 x 141 margin block is the one grid-sized array;
-        # x or the bound as a 19 701-point array would add 157 608 B each
-        check_second_proof_lemma(400)
+    @staticmethod
+    def _traced_peak(ns):
+        second_proof_margins(ns, 0.01)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            assert check_second_proof_lemma(400)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            assert min(second_proof_margins(ns, 0.01)) >= -galkin.TAU_NUM
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+
+    def test_second_proof_lemma_makes_no_grid_sized_temporaries(self):
+        # at n = 400 the 140 x 141 margin block is the one grid-sized array;
+        # x or the bound as a 19 701-point array would add 157 608 B each
+        peak = self._traced_peak([400])
         assert peak <= 140 * 141 * 8 + 32 * 1024, peak
+
+    def test_second_proof_margins_of_a_pass_stay_small(self):
+        # one margin block at a time, beside one chunk's angle vector and factors
+        peak = self._traced_peak(range(6, 401))
+        assert peak <= 512 * 1024, peak
 
     @pytest.mark.parametrize("step", LEMMA_STEPS)
     def test_grid_count_is_the_grid_length(self, step):
