@@ -75,9 +75,11 @@ def _property_o_line(srep: sp_mod.SpectralReport) -> str:
             f"top_on_roots={srep.top_arguments_are_roots}")
 
 
-def _spectral_ok(srep: sp_mod.SpectralReport, tol: float) -> bool:
-    return (srep.top_multiplicity == 1 and srep.rotation_closed
-            and srep.top_arguments_are_roots and srep.max_eigen_residual < tol)
+def _exit_code(holds: bool, srep: sp_mod.SpectralReport, tol: float) -> int:
+    """EXIT_OK if the bound holds and every spectral finding is as expected."""
+    ok = (holds and srep.top_multiplicity == 1 and srep.rotation_closed
+          and srep.top_arguments_are_roots and srep.max_eigen_residual < tol)
+    return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -97,26 +99,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(_property_o_line(srep))
         print(f"max_eigen_residual={srep.max_eigen_residual:.3e}  "
               f"power_iterations={srep.power_iterations}")
-    ok = (grep.verdict in ("holds_strict", "holds_equality") and grep.consistent
-          and _spectral_ok(srep, args.tol))
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+    return _exit_code(grep.verdict in gk.HOLDS, srep, args.tol)
 
 
 def _sweep_row(k, n, tol, rank_cap):
     params = GrassmannianParams(k, n)
     grep = gk.verify_galkin(params)
-    matrix_delta0 = None
+    verdict, matrix_delta0 = grep.verdict, None
     if params.rank <= rank_cap:
         op = sp_mod.c1_operator(params)
         try:
             matrix_delta0 = sp_mod.principal_eigenvalue(op, shift=float(n))
         except IterationFailureError:
-            grep.verdict = "NOT_CONVERGED"
+            verdict = "NOT_CONVERGED"
         else:
             if abs(matrix_delta0 - grep.delta0) > tol * max(1.0, grep.delta0):
-                grep.verdict = "ROUTES_DISAGREE"
+                verdict = "ROUTES_DISAGREE"
     return {"k": k, "n": n, "delta0": grep.delta0, "delta0_matrix": matrix_delta0,
-            "bound": grep.bound, "margin": grep.margin, "verdict": grep.verdict}
+            "bound": grep.bound, "margin": grep.margin, "verdict": verdict}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -133,9 +133,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for r in rows:
             print(f"{r['k']} {r['n']} {r['delta0']:.10f} {r['bound']:g} "
                   f"{r['margin']:.10f} {r['verdict']}")
-    failed = any(r["verdict"] in ("VIOLATION", "ROUTES_DISAGREE", "NOT_CONVERGED")
-                 for r in rows)
-    return EXIT_MATH_FAIL if failed else EXIT_OK
+    return EXIT_OK if all(r["verdict"] in gk.HOLDS for r in rows) else EXIT_MATH_FAIL
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -153,7 +151,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"I={halves}  eigenvalue={eig.real:+.10f}{eig.imag:+.10f}i  "
               f"residual={res:.3e}")
     print(_property_o_line(srep))
-    return EXIT_OK if _spectral_ok(srep, args.tol) else EXIT_MATH_FAIL
+    return _exit_code(True, srep, args.tol)  # spectrum does not check the bound
 
 
 def cmd_fk(args: argparse.Namespace) -> int:

@@ -67,35 +67,35 @@ def fk_second_derivative(k: int, x: float) -> float:
                 for j in range(1, k // 2 + 1))
 
 
-@dataclass
+HOLDS = ("holds_strict", "holds_equality")  # the passing verdicts
+
+
+@dataclass(frozen=True)
 class GalkinReport:
-    params: GrassmannianParams
     delta0: float
     bound: float
     margin: float
     equality: bool
     is_projective_space: bool
-    verdict: str  # holds_strict | holds_equality | VIOLATION
-    consistent: bool  # equality flag agrees with the projective-space test
+    verdict: str  # one of HOLDS, or VIOLATION
 
 
 def verify_galkin(params: GrassmannianParams) -> GalkinReport:
-    """Check delta0 >= dim + 1, equality detected to TAU_NUM relative."""
+    """Check delta0 >= dim + 1 with equality exactly on P^{n-1}, equality
+    detected to TAU_NUM relative: VIOLATION below the bound, or on equality
+    off P^{n-1} or missed on it."""
     k, n = params.k, params.n
     delta0 = float(delta0_sine(k, float(n)))
     bound = float(k * (n - k) + 1)
     margin = delta0 - bound
     eq_tol = TAU_NUM * max(1.0, bound)
     equality = abs(margin) <= eq_tol
-    if margin < -eq_tol:
-        verdict = "VIOLATION"
-    elif equality:
-        verdict = "holds_equality"
-    else:
-        verdict = "holds_strict"
     is_pn = k == 1 or k == n - 1
-    return GalkinReport(params, delta0, bound, margin, equality, is_pn,
-                        verdict, consistent=(equality == is_pn))
+    if margin < -eq_tol or equality != is_pn:
+        verdict = "VIOLATION"
+    else:
+        verdict = "holds_equality" if equality else "holds_strict"
+    return GalkinReport(delta0, bound, margin, equality, is_pn, verdict)
 
 
 def second_proof_margins(ns, grid_step: float) -> list[float]:

@@ -34,7 +34,6 @@ DEFAULT_MAX_ITER = 1_000_000
 
 @dataclass
 class SpectralReport:
-    params: GrassmannianParams
     delta0_matrix: float
     delta0_schur: float
     delta0_sine: float
@@ -66,12 +65,10 @@ def _power_iteration(matrix, shift, tol, max_iter):
     """
     start = getattr(matrix, "start", None)
     v = np.ones(matrix.shape[0]) if start is None else np.array(start, float)
-    lo = hi = np.nan
     for products in range(1, max_iter + 1):
         norm = np.linalg.norm(v)
         if not norm > 0:
-            raise IterationFailureError("iterate collapsed to zero",
-                                        last_vector=v, iterations=products - 1)
+            raise IterationFailureError("iterate collapsed to zero")
         v /= norm
         av = matrix @ v
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -82,8 +79,7 @@ def _power_iteration(matrix, shift, tol, max_iter):
             return mid, products, (lo, hi)
         v = av + shift * v
     raise IterationFailureError(
-        f"no convergence after {max_iter} operator products",
-        last_value=0.5 * (lo + hi), last_vector=v, iterations=max_iter)
+        f"no convergence after {max_iter} operator products")
 
 
 def principal_eigenvalue(matrix, shift: float) -> float:
@@ -190,7 +186,6 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
     residuals = _eigen_residuals(params, matrix)
     top_mult, rot_closed, top_roots = property_o_check(params, tol)
     return SpectralReport(
-        params=params,
         delta0_matrix=d_matrix,
         delta0_schur=d_schur,
         delta0_sine=d_sine,

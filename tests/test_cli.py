@@ -13,7 +13,6 @@ from chevalley import bruhat, cli, galkin, spectral, symfunc
 from chevalley.cli import main
 from chevalley.combinatorics import GrassmannianParams
 from chevalley.errors import IterationFailureError
-from chevalley.galkin import delta0_sine
 from chevalley.symfunc import enumerate_indices
 from oracles import build_graph_by_particles, second_proof_lemma_by_grid
 
@@ -175,7 +174,7 @@ class TestSweep:
 
         def capped(matrix, shift):  # the cap is hit from rank 4 on
             if matrix.shape[0] > 3:
-                raise IterationFailureError("capped", last_vector=[1.0])
+                raise IterationFailureError("capped")
             return real(matrix, shift)
 
         monkeypatch.setattr(spectral, "principal_eigenvalue", capped)
@@ -190,6 +189,17 @@ class TestSweep:
         code, out, _ = run_cli("sweep", "--n-max", "4")
         assert code == 1
         assert out.splitlines()[-1].endswith(" NOT_CONVERGED")
+
+    def test_equality_off_projective_space_fails(self, monkeypatch):
+        # with TAU_NUM = 1 every margin of n <= 5 reads as equality
+        monkeypatch.setattr(galkin, "TAU_NUM", 1.0)
+        code, out, _ = run_cli("sweep", "--n-max", "5", "--format", "json")
+        assert code == 1
+        verdicts = {(r["k"], r["n"]): r["verdict"] for r in json.loads(out)}
+        assert verdicts == {(k, n): "VIOLATION" if (k, n) in {(2, 4), (2, 5), (3, 5)}
+                            else "holds_equality"
+                            for n in range(2, 6) for k in range(1, n)}
+        assert run_cli("verify", "--k", "2", "--n", "4")[0] == 1
 
     def test_rank_cap_below_two(self):
         code, out, err = run_cli("sweep", "--n-max", "5", "--rank-cap", "1")
@@ -327,14 +337,31 @@ class TestSpectrum:
         assert (max(printed, key=float)
                 == f"{json.loads(out)['max_eigen_residual']:.3e}")
 
-    def test_routes_disagree(self, monkeypatch):
-        wrong = delta0_sine(3, 7.0) * (1 + 1e-6)
-        monkeypatch.setattr(spectral, "_power_iteration",
-                            lambda matrix, shift, tol, max_iter:
-                            (wrong, 1, (wrong, wrong)))
+    @pytest.mark.parametrize("route", ["matrix", "schur", "sine", "cosine"])
+    def test_routes_disagree(self, monkeypatch, route):
+        module, name = {"matrix": (spectral, "_power_iteration"),
+                        "schur": (spectral, "schur_eval"),
+                        "sine": (galkin, "delta0_sine"),
+                        "cosine": (galkin, "delta0_cosine_sum")}[route]
+        real = getattr(module, name)
+
+        def off(*args):  # this route alone, 1e-6 relative off
+            value = real(*args)
+            if route == "matrix":
+                return (value[0] * (1 + 1e-6),) + value[1:]
+            return value * (1 + 1e-6)
+
+        monkeypatch.setattr(module, name, off)
         code, out, err = run_cli("spectrum", "--k", "3", "--n", "7")
-        assert code == 1
-        assert "routes disagree" in err
+        assert (code, out) == (1, "")
+        assert "routes disagree" in err and f" {route}=" in err
+
+    def test_complex_schur_route(self, monkeypatch):
+        real = spectral.schur_eval
+        monkeypatch.setattr(spectral, "schur_eval", lambda *args: real(*args) + 1e-6j)
+        code, out, err = run_cli("spectrum", "--k", "3", "--n", "7")
+        assert (code, out) == (1, "")
+        assert "not real" in err
 
 
 class TestRankCap:

@@ -112,7 +112,7 @@ class TestVerify:
     def test_projective_space_equality(self):
         r = verify_galkin(GrassmannianParams(1, 7))
         assert r.verdict == "holds_equality"
-        assert r.is_projective_space and r.consistent
+        assert r.is_projective_space
         assert abs(r.margin) < 1e-12
 
     def test_gr24_strict(self):
@@ -130,7 +130,19 @@ class TestVerify:
                 r = verify_galkin(GrassmannianParams(k, n))
                 assert r.margin >= -1e-9
                 assert r.equality == (k in (1, n - 1))
-                assert r.consistent
+                assert r.verdict == ("holds_equality" if r.equality else "holds_strict")
+
+    def test_equality_off_projective_space_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(galkin, "TAU_NUM", 1.0)  # Gr(2,4)'s margin 0.66 reads as 0
+        r = verify_galkin(GrassmannianParams(2, 4))
+        assert r.equality and not r.is_projective_space
+        assert r.verdict == "VIOLATION"
+
+    def test_missed_equality_on_projective_space_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(galkin, "delta0_sine", lambda k, x: x * (1 + 1e-6))
+        r = verify_galkin(GrassmannianParams(1, 7))
+        assert r.margin > 0 and not r.equality and r.is_projective_space
+        assert r.verdict == "VIOLATION"
 
     def test_reduction_preserves_report(self):
         for n in range(2, 30):

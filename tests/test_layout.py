@@ -181,9 +181,16 @@ def test_ci_runs_the_tier1_command():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[:2] == ["pip install -e .[test]", command]
+    # then the exit codes of the installed `chevalley` script, which no test
+    # runs, one command per code
+    entry, gate, smoke = runs[2:]
+    assert "chevalley $args" in entry and "exit 1" in entry
+    assert re.findall(r"^(\d) (.+)$", entry, re.M) == [
+        ("0", "verify --k 3 --n 7"), ("0", "sweep --n-max 12"),
+        ("0", "inequalities --n-max 60"), ("1", "verify --k 3 --n 8 --max-iter 0"),
+        ("2", "sweep --n-max 1")]
     # then the benchmark's correctness gate: one loop over workload:seed
     # pairs, every workload at seed 0 and held-out seeds
-    gate, smoke = runs[2:]
     pairs = re.search(r"for run in ([^;]+);", gate).group(1).replace("\\", " ").split()
     assert pairs == ["matrix-thin:0", "sweep:0", "verify:0", "verify:1", "verify:2",
                      "matrix-thin:1", "inequalities:0", "inequalities:1",
