@@ -7,10 +7,10 @@ incidence_matrix attaches, stopped on the width of the Collatz-Wielandt
 bracket of a product with the operator.  The bracket holds rho for any
 v > 0, so the start only sets the number of products (one, when it is
 exact), never the value.  The full spectrum is the closed form n*S_(1) over
-the index table combinatorics.rotation_orbits, and every closed-form
-eigenpair is validated by residual against the built operator, orbit by
-orbit of its rotation I -> I+, so that symfunc.rietsch_eigenvector takes one
-stacked determinant per orbit; a wrong phase shows up as a residual.
+the index table combinatorics.rotation_orbits.  Every closed-form eigenpair
+is checked by residual against the built operator, orbit by orbit of the
+rotation I -> I+ (symfunc.rietsch_eigenvector takes one stacked determinant
+per orbit), in chunks of stacked rows: one gather and one np.add.at each.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .symfunc import (SpectralIndex, central_index, enumerate_indices,
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
+_CHUNK_BYTES = 256 * 1024  # eigen_residual's buffers: 24 B per edge, 32 per vertex a row
 
 
 @dataclass
@@ -97,31 +98,50 @@ def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
     return params.n * roots.take(rotation_orbits(params)[0]).sum(axis=1)
 
 
-def eigen_residual(I: SpectralIndex, params: GrassmannianParams,
-                   operator: IncidenceOperator) -> float:
+def eigen_residual(I: SpectralIndex | list[SpectralIndex], params: GrassmannianParams,
+                   operator: IncidenceOperator) -> float | np.ndarray:
     """Relative sup-norm residual of the closed-form eigenpair labeled by I
-    against operator, which is c1_operator(params)."""
-    n = params.n
-    v = rietsch_eigenvector(I, params)
-    # n * S_(1)(zeta^I) in scalars: numpy's per-call cost dominates k values
-    eig = n * sum(complex(math.cos(math.pi * d / n), math.sin(math.pi * d / n))
-                  for d in I)
-    r = operator @ v
-    r -= eig * v
-    return float(np.abs(r).max() / np.abs(v).max())
+    against operator = c1_operator(params); for a list, the array of theirs.
+    Row i of a chunk, weighted and gathered, takes its edges by one unbuffered
+    np.add.at at i*rank + target in edge order from +0, and each eigenvalue
+    n * sum_j e^{i pi d_j / n} its roots in order: operator @ v's rounding."""
+    indices, k, n = I if isinstance(I, list) else [I], params.k, params.n
+    rank, nnz = params.rank, operator.nnz
+    rows = max(1, min(len(indices), _CHUNK_BYTES // (24 * nnz + 32 * rank)))
+    unit = np.roll([complex(math.cos(math.pi * d / n), math.sin(math.pi * d / n))
+                    for d in range(1 - k, 2 * n + 1 - k)], 1 - k)  # at d mod 2n
+    vr, gathered = np.empty((2, rows, rank), complex), np.empty((rows, nnz), complex)
+    (v, r), flat = vr, gathered.reshape(-1)
+    product = flat[:v.size].reshape(v.shape)  # eig * v, then |v| and |r| in mag
+    mag = product.view(float).reshape(vr.shape)
+    at = np.add.outer(rank * np.arange(rows), operator.target).ravel()
+    residuals = np.empty(-(-len(indices) // rows) * rows)
+    for lo in range(0, len(indices), rows):
+        chunk = indices[lo:lo + rows]  # a short last one leaves stale rows
+        for row, J in zip(v, chunk):
+            row[:] = rietsch_eigenvector(J, params)
+        np.multiply(v, operator.weight, out=r)
+        np.take(r, operator.source, axis=1, out=gathered, mode="clip")  # "raise" copies
+        r.fill(0)
+        np.add.at(r.reshape(-1), at, flat)
+        chunk += chunk[-1:] * (rows - len(chunk))
+        eig = n * np.add.accumulate(unit.take(chunk, mode="wrap"), axis=1)[:, -1]
+        r -= np.multiply(eig[:, None], v, out=product)  # eig first, as eig * v
+        top = np.maximum.reduce(np.abs(vr, out=mag), axis=2)
+        np.divide(top[1], top[0], out=residuals[lo:lo + rows])
+    return residuals[:len(indices)] if isinstance(I, list) else float(residuals[0])
 
 
 def _eigen_residuals(params: GrassmannianParams,
                      operator: IncidenceOperator) -> np.ndarray:
-    """eigen_residual of every index, in enumerate_indices order, walked
-    stably sorted by rotation_orbits' orbit starts: each orbit stays together,
-    so rietsch_eigenvector computes its lex-least member's vector once and
-    reaches the others by phases.  The index list is freed before property O."""
+    """eigen_residual of every index, in enumerate_indices order, from one
+    call on them stably sorted by orbit start (rotation_orbits), so that
+    rietsch_eigenvector expands each orbit once and reaches the rest by
+    phases; only each index's own residual checks its phase, so all are run."""
     indices = enumerate_indices(params)
-    residuals = np.empty(params.rank)
-    for pos in np.argsort(rotation_orbits(params)[2], kind="stable").tolist():
-        residuals[pos] = eigen_residual(indices[pos], params, operator)
-    return residuals
+    order = np.argsort(rotation_orbits(params)[2], kind="stable")
+    walked = eigen_residual([indices[i] for i in order], params, operator)
+    return walked[np.argsort(order)]
 
 
 def property_o_check(params: GrassmannianParams,

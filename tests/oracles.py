@@ -18,11 +18,15 @@ k > n/2 from the dual's hop table must reproduce byte for byte.  dense and
 edge_triples are the views of an operator and a graph that only tests read:
 the dense matrix, and the edges with partition endpoints.
 second_proof_margin is the second-proof lemma one n per call, the reference
-that the chunked galkin.second_proof_margins must match bit for bit.
+that the chunked galkin.second_proof_margins must match bit for bit, and
+eigen_residual_by_product is one eigenpair's residual by one operator
+product, the reference that the chunked spectral.eigen_residual must match
+bit for bit.
 """
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+import math
 from math import comb, isqrt
 
 import mpmath
@@ -33,7 +37,7 @@ from chevalley import galkin
 from chevalley.bruhat import QuantumBruhatGraph
 from chevalley.combinatorics import (banded_binomials, empty_sites, lex_rank,
                                      ring_states)
-from chevalley.symfunc import homogeneous_table
+from chevalley.symfunc import homogeneous_table, rietsch_eigenvector
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
 
@@ -232,6 +236,18 @@ def second_proof_margin(n, grid_step):
     right[0], right[1], right[2], right[3], right[4] = (
         c[rows:], s[rows:], tail, tail * tail, 1)
     return float((left @ right).ravel()[:count].min())
+
+
+def eigen_residual_by_product(I, params, operator):
+    """max|operator @ v - eig * v| / max|v| for v = rietsch_eigenvector(I),
+    with eig = n * S_(1)(zeta^I) summed as Python complex scalars."""
+    n = params.n
+    v = rietsch_eigenvector(I, params)
+    eig = n * sum(complex(math.cos(math.pi * d / n), math.sin(math.pi * d / n))
+                  for d in I)
+    r = operator @ v
+    r -= eig * v
+    return float(np.abs(r).max() / np.abs(v).max())
 
 
 def second_proof_lemma_by_grid(n, step):

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chevalley import bruhat, cli, galkin, spectral, symfunc
@@ -495,6 +497,60 @@ class TestInequalities:
                      if not second_proof_lemma_by_grid(n, 0.01))
         assert run_cli("inequalities", "--n-max", "99") == (
             1, f"FAIL second_proof_lemma(n={first})\n", "")
+
+    # One perturbation per check kind, just past that check's bound: the
+    # first check the suite runs on it fails, and a check with a looser
+    # bound (or its monotonicity half gone) lets the suite pass.
+    @staticmethod
+    def _k2_cosine(monkeypatch):
+        # 2n cos(pi/n) at n = 4 lowered to 2n - 3 - 2 TAU_NUM; the only
+        # other scalar cos(pi/4), in boundary_equality(k=5), cancels
+        real, tau = galkin.cos, galkin.TAU_NUM
+        monkeypatch.setattr(galkin, "cos", lambda x: (5 - 2 * tau) / 8 if (
+            np.ndim(x) == 0 and x == math.pi / 4) else real(x))
+        return "k2_inequality(n=4)"
+
+    @staticmethod
+    def _limit_value(monkeypatch):
+        # F^2(1e8) moved to k^2 - 1 + 2e-4, twice check_limit's tolerance
+        real = galkin.fk
+        monkeypatch.setattr(galkin, "fk", lambda k, x: 3 + 2e-4 if (
+            k == 2 and np.ndim(x) == 0 and x == 1e8) else real(k, x))
+        return "limit(k=2)"
+
+    @staticmethod
+    def _boundary_value(monkeypatch):
+        # F^3(4) raised by 2 TAU_NUM, off F^1(4) = 0
+        real, tau = galkin.fk, galkin.TAU_NUM
+        monkeypatch.setattr(galkin, "fk", lambda k, x: real(k, x) + 2 * tau if (
+            k == 3 and np.ndim(x) == 0 and x == 4.0) else real(k, x))
+        return "boundary_equality(k=3)"
+
+    @staticmethod
+    def _concave_curvature(monkeypatch):
+        # F^2'' shifted up until its largest grid value is 2 TAU_NUM
+        real, tau = galkin.fk_second_derivative, galkin.TAU_NUM
+        monkeypatch.setattr(galkin, "fk_second_derivative", lambda k, x: (
+            (d := real(k, x)) + (2 * tau - d.max() if k == 2 else 0)))
+        return "concavity_monotonicity(k=2)"
+
+    @staticmethod
+    def _monotone_slope(monkeypatch):
+        # F^2 on the concavity grid less c x, c such that the least forward
+        # difference is -2 TAU_NUM; F^2'' (a separate function) is unmoved
+        real, tau, step = galkin.fk, galkin.TAU_NUM, 0.1
+        x = galkin._grid(2.0 + step, 100.0, step)
+        c = (np.min(real(2, x + step) - real(2, x)) + 2 * tau) / step
+        monkeypatch.setattr(galkin, "fk", lambda k, x: real(k, x) - c * x if (
+            k == 2 and np.ndim(x) == 1) else real(k, x))
+        return "concavity_monotonicity(k=2)"
+
+    @pytest.mark.parametrize("perturb", ["_k2_cosine", "_limit_value",
+                                         "_boundary_value", "_concave_curvature",
+                                         "_monotone_slope"])
+    def test_perturbation_just_past_the_bound_fails(self, perturb, monkeypatch):
+        name = getattr(self, perturb)(monkeypatch)
+        assert run_cli("inequalities", "--n-max", "8") == (1, f"FAIL {name}\n", "")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_grid_step(self, value):

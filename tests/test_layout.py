@@ -187,7 +187,8 @@ def test_ci_runs_the_tier1_command():
     assert "chevalley $args" in entry and "exit 1" in entry
     assert re.findall(r"^(\d) (.+)$", entry, re.M) == [
         ("0", "verify --k 3 --n 7"), ("0", "sweep --n-max 12"),
-        ("0", "inequalities --n-max 60"), ("1", "verify --k 3 --n 8 --max-iter 0"),
+        ("0", "inequalities --n-max 60"), ("0", "spectrum --k 3 --n 7"),
+        ("0", "graph --k 2 --n 5"), ("1", "verify --k 3 --n 8 --max-iter 0"),
         ("2", "sweep --n-max 1")]
     # then the benchmark's correctness gate: one loop over workload:seed
     # pairs, every workload at seed 0 and held-out seeds

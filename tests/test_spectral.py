@@ -18,7 +18,8 @@ from chevalley.symfunc import (central_index, enumerate_indices,
                                rietsch_eigenvector, roots_tuple)
 
 from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, dense,
-                     multiset_invariant_under, shifted)
+                     eigen_residual_by_product, multiset_invariant_under,
+                     shifted)
 
 
 def sorted_complex(values):
@@ -273,14 +274,53 @@ class TestEigenResidual:
 
 class TestOrbitWalk:
     def test_every_index_once_in_lex_order(self):
-        for n in range(2, 11):
-            for k in range(1, n):
-                p = GrassmannianParams(k, n)
-                op = c1_operator(p)
-                want = [eigen_residual(I, p, op) for I in enumerate_indices(p)]
-                got = spectral_report(p).eigen_residuals
-                assert len(got) == p.rank
-                assert np.max(np.abs(got - want)) <= 1e-13
+        # the chunked walk rounds as one operator product per index: bit for
+        # bit, one index per call and by the per-index product itself
+        for k, n in [(k, n) for n in range(2, 11) for k in range(1, n)] + [
+                (2, 40), (7, 14)]:
+            p = GrassmannianParams(k, n)
+            op = c1_operator(p)
+            indices = enumerate_indices(p)
+            got = spectral_report(p).eigen_residuals
+            assert len(got) == p.rank
+            assert np.array_equal(got, [eigen_residual(I, p, op) for I in indices])
+            assert np.array_equal(
+                got, [eigen_residual_by_product(I, p, op) for I in indices])
+
+    @pytest.mark.parametrize("k,n", [(6, 12), (2, 40), (1, 30), (5, 11)])
+    def test_chunks_of_any_length(self, k, n, monkeypatch):
+        # a list in any order, with a short last chunk: residuals in list order
+        p = GrassmannianParams(k, n)
+        op = c1_operator(p)
+        indices = enumerate_indices(p)[::-3]
+        want = [eigen_residual_by_product(I, p, op) for I in indices]
+        row = 24 * op.nnz + 32 * p.rank
+        for budget in (1, 3 * row, 64 * row):
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", budget)
+            assert np.array_equal(eigen_residual(indices, p, op), want)
+
+    @pytest.mark.parametrize("k,n", [(6, 12), (2, 40)])
+    def test_residual_stage_stays_within_the_chunk_budget(self, k, n, monkeypatch):
+        # the chunk buffers (at most _CHUNK_BYTES) beside the index tuples and
+        # one vector's temporaries; every row at once would be rank times
+        # 24 B per edge and 32 B per vertex, ~94 MB at Gr(6,12)
+        stage, peaks = spectral._eigen_residuals, []
+
+        def traced(params, operator):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                residuals = stage(params, operator)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            return residuals
+
+        p = GrassmannianParams(k, n)
+        spectral_report(p)  # the per-instance caches, outside the trace
+        monkeypatch.setattr(spectral, "_eigen_residuals", traced)
+        spectral_report(p)
+        assert peaks[0] <= spectral._CHUNK_BYTES + 128 * 1024, peaks
 
     # orbits = binary necklaces, (1/n) sum over d | gcd(n, k) of
     # phi(d) C(n/d, k/d); periods below n where gcd(n, k) > 1
