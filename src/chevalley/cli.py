@@ -165,21 +165,18 @@ def cmd_fk(args: argparse.Namespace) -> int:
 def cmd_inequalities(args: argparse.Namespace) -> int:
     if args.n_max < 6:
         raise ValueError("need n_max >= 6")
-    ns = range(6, args.n_max + 1)  # TAU_NUM is read as each check runs
-    checks = [(f"second_proof_lemma(n={n})", lambda m=m: m >= -gk.TAU_NUM)
+    ns, tau = range(6, args.n_max + 1), gk.TAU_NUM
+    checks = [(f"second_proof_lemma(n={n})", m >= -tau)
               for n, m in zip(ns, gk.second_proof_margins(ns, args.grid_step))]
-    for n in range(4, args.n_max + 1):
-        checks.append((f"k2_inequality(n={n})",
-                       lambda n=n: gk.check_k2_inequality(n)))
-    for k in range(3, 13):
-        checks.append((f"boundary_equality(k={k})",
-                       lambda k=k: gk.check_boundary_equality(k) < gk.TAU_NUM))
+    checks += [(f"k2_inequality(n={n})", gk.check_k2_inequality(n))
+               for n in range(4, args.n_max + 1)]
+    checks += [(f"boundary_equality(k={k})", gk.check_boundary_equality(k) < tau)
+               for k in range(3, 13)]
     for k in range(2, 13):
-        checks.append((f"limit(k={k})", lambda k=k: gk.check_limit(k)))
-        checks.append((f"concavity_monotonicity(k={k})",
-                       lambda k=k: gk.check_concavity_monotonicity(k)))
-    for name, run in checks:
-        if not run():
+        checks += [(f"limit(k={k})", gk.check_limit(k)), (
+            f"concavity_monotonicity(k={k})", gk.check_concavity_monotonicity(k))]
+    for name, ok in checks:
+        if not ok:
             print(f"FAIL {name}")
             return EXIT_MATH_FAIL
     print(f"all {len(checks)} inequality checks passed")

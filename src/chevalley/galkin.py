@@ -146,9 +146,9 @@ def check_boundary_equality(k: int) -> float:
     return abs(fk(k, x) - fk(k - 2, x))
 
 
-def check_limit(k: int, X: float = 1e8, tol: float = 1e-4) -> bool:
-    """F^k(X) is within tol of the limit value k^2 - 1."""
-    return bool(abs(fk(k, X) - (k * k - 1)) < tol)
+def check_limit(k: int) -> bool:
+    """F^k(1e8) is within 1e-4 of the limit value k^2 - 1 as x -> inf."""
+    return bool(abs(fk(k, 1e8) - (k * k - 1)) < 1e-4)
 
 
 def check_concavity_monotonicity(k: int, x_max: float = 100.0,
@@ -156,13 +156,15 @@ def check_concavity_monotonicity(k: int, x_max: float = 100.0,
     """Sampled concavity and monotonicity of F^k on (2(k-1), x_max].
 
     At every grid point: second derivative below TAU_NUM and forward
-    difference above -TAU_NUM.  The open left endpoint is excluded.
+    difference above -TAU_NUM, from one F^k evaluation over the grid and one
+    point past its end.  The open left endpoint is excluded.
     """
     if k < 2:
         raise ValueError("requires k >= 2")
-    x = _grid(2.0 * (k - 1) + grid_step, x_max, grid_step)
-    return bool(np.all(fk_second_derivative(k, x) < TAU_NUM)
-                and np.all(fk(k, x + grid_step) - fk(k, x) > -TAU_NUM))
+    lo = 2.0 * (k - 1) + grid_step
+    x = lo + grid_step * np.arange(_grid_count(lo, x_max, grid_step) + 1)
+    return bool(np.all(fk_second_derivative(k, x[:-1]) < TAU_NUM)
+                and np.all(np.diff(fk(k, x)) > -TAU_NUM))
 
 
 def fk_table(k: int, x_min: float, x_max: float,

@@ -21,7 +21,9 @@ second_proof_margin is the second-proof lemma one n per call, the reference
 that the chunked galkin.second_proof_margins must match bit for bit, and
 eigen_residual_by_product is one eigenpair's residual by one operator
 product, the reference that the chunked spectral.eigen_residual must match
-bit for bit.
+bit for bit.  concavity_monotonicity_by_two_grids is the F^k concavity and
+monotonicity check with F^k evaluated on its grid and on the grid moved by
+one step, the reference for galkin's check from one F^k evaluation.
 """
 
 from functools import lru_cache
@@ -257,6 +259,22 @@ def second_proof_lemma_by_grid(n, step):
     x = galkin._grid(3.0, n / 2, step)
     bound = x * (n - x) + 1.0 - galkin.TAU_NUM
     return bool(np.all(galkin.delta0_sine(x, n) >= bound))
+
+
+def forward_differences_by_two_grids(k, x_max, step):
+    """F^k(x + step) - F^k(x) over the concavity grid x of
+    galkin.check_concavity_monotonicity, from two F^k evaluations."""
+    x = galkin._grid(2.0 * (k - 1) + step, x_max, step)
+    return galkin.fk(k, x + step) - galkin.fk(k, x)
+
+
+def concavity_monotonicity_by_two_grids(k, x_max, step):
+    """F^k'' below TAU_NUM on the concavity grid and every two-grid forward
+    difference above -TAU_NUM."""
+    x = galkin._grid(2.0 * (k - 1) + step, x_max, step)
+    tau = galkin.TAU_NUM
+    return bool(np.all(galkin.fk_second_derivative(k, x) < tau)
+                and np.all(forward_differences_by_two_grids(k, x_max, step) > -tau))
 
 
 def schur_brute(lam, x):

@@ -354,9 +354,13 @@ class TestSpectrum:
             return value * (1 + 1e-6)
 
         monkeypatch.setattr(module, name, off)
-        code, out, err = run_cli("spectrum", "--k", "3", "--n", "7")
-        assert (code, out) == (1, "")
-        assert "routes disagree" in err and f" {route}=" in err
+        for command in ("spectrum", "verify"):
+            code, out, err = run_cli(command, "--k", "3", "--n", "7")
+            assert (code, out) == (1, "")
+            assert "routes disagree" in err and f" {route}=" in err
+            # the bound, residual and property-O checks all pass this fault,
+            # so with the cross-check loosened past it the command exits 0
+            assert run_cli(command, "--k", "3", "--n", "7", "--tol", "1e-3")[0] == 0
 
     def test_complex_schur_route(self, monkeypatch):
         real = spectral.schur_eval
@@ -461,9 +465,12 @@ class TestFk:
 
 class TestInequalities:
     def test_minimal(self):
-        code, out, _ = run_cli("inequalities", "--n-max", "6")
-        assert code == 0
-        assert "passed" in out
+        # the suite's size: the second-proof lemma for n = 6..N, the k = 2
+        # reduction for n = 4..N, and 32 F^k checks for k <= 12
+        for n_max in (6, 7, 60, 400):
+            count = (n_max - 5) + (n_max - 3) + 32
+            assert run_cli("inequalities", "--n-max", str(n_max)) == (
+                0, f"all {count} inequality checks passed\n", "")
 
     def test_too_small(self):
         code, _, _ = run_cli("inequalities", "--n-max", "5")

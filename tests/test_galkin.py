@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from chevalley import galkin
 from chevalley.combinatorics import GrassmannianParams
-from oracles import (fk_second_difference, second_proof_lemma_by_grid,
-                     second_proof_margin)
+from oracles import (concavity_monotonicity_by_two_grids,
+                     forward_differences_by_two_grids, fk_second_difference,
+                     second_proof_lemma_by_grid, second_proof_margin)
 from chevalley.galkin import (check_boundary_equality, check_concavity_monotonicity,
                               check_k2_inequality, check_limit,
                               delta0_cosine_sum, delta0_sine, fk,
@@ -171,6 +172,39 @@ class TestLemmaChecks:
     def test_concavity_monotonicity(self):
         for k in range(2, 13):
             assert check_concavity_monotonicity(k)
+
+    @pytest.mark.parametrize("step", [0.1, 0.05])
+    def test_monotonicity_matches_the_two_grid_oracle(self, monkeypatch, step):
+        # the forward differences of the check's one F^k evaluation against
+        # F^k on the grid moved by step; then the verdicts, also with F^k
+        # tilted until the oracle's least difference is 2 TAU_NUM either side
+        # of the bound
+        real, tau = galkin.fk, galkin.TAU_NUM
+        for k in range(2, 13):
+            seen = []
+            monkeypatch.setattr(galkin, "fk",
+                                lambda k, x: seen.append(real(k, x)) or seen[-1])
+            assert check_concavity_monotonicity(k, 100.0, step)
+            monkeypatch.setattr(galkin, "fk", real)
+            (values,) = seen
+            want = forward_differences_by_two_grids(k, 100.0, step)
+            assert np.abs(np.diff(values) - want).max() < 1e-12
+            assert concavity_monotonicity_by_two_grids(k, 100.0, step)
+            for side in (1, -1):
+                c = (want.min() + tau - 2 * side * tau) / step
+                monkeypatch.setattr(galkin, "fk", lambda k, x: real(k, x) - c * x)
+                verdict = concavity_monotonicity_by_two_grids(k, 100.0, step)
+                assert verdict == (side == 1), (k, side)
+                assert check_concavity_monotonicity(k, 100.0, step) == verdict, (k, side)
+
+    def test_concavity_monotonicity_evaluates_fk_once(self, monkeypatch):
+        # one array-valued F^k per k: the grid and one point past its end
+        real, calls = galkin.fk, []
+        monkeypatch.setattr(galkin, "fk",
+                            lambda k, x: calls.append(np.ndim(x)) or real(k, x))
+        for k in range(2, 13):
+            assert check_concavity_monotonicity(k)
+        assert calls == [1] * 11
 
     def test_concavity_monotonicity_on_an_empty_grid_raises(self):
         # the grid starts at 2(k-1) + step, past x_max here; np.all([]) once
