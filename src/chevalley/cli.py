@@ -10,9 +10,9 @@ memory, a verify, spectrum or graph instance whose rank C(n,k) exceeds
 matrix route instead), and one whose binomials overflow int64).  In verify,
 --shift is the shift of the power steps that certify the matrix route's
 Collatz-Wielandt bracket (default n), and --max-iter caps their operator
-products (from the closed-form Perron vector one suffices).  A sweep row
-whose matrix route hits that cap gets the verdict NOT_CONVERGED.  Every
-command runs in one process.
+products (from the closed-form Perron vector one suffices); sweep has none:
+a row whose matrix route does not converge within spectral.DEFAULT_MAX_ITER
+products gets the verdict NOT_CONVERGED.  Every command runs in one process.
 """
 
 from __future__ import annotations

@@ -7,15 +7,14 @@ incidence_matrix attaches, stopped on the width of the Collatz-Wielandt
 bracket of a product with the operator.  The bracket holds rho for any
 v > 0, so the start only sets the number of products (one, when it is
 exact), never the value.  The full spectrum is the closed form n*S_(1) over
-the index table combinatorics.rotation_orbits.  Every closed-form eigenpair
-is checked by residual against the built operator, orbit by orbit of the
-rotation I -> I+ (symfunc.rietsch_eigenvector takes one stacked determinant
-per orbit), in chunks of stacked rows: one gather and one np.add.at each.
+the index table combinatorics.rotation_orbits.  Every closed-form eigenpair,
+with the eigenvalue that spectrum lists, is checked by residual against the
+built operator, orbit by orbit of the rotation I -> I+ (rietsch_eigenvector:
+one stacked determinant per orbit), in chunks of rows, one np.add.at each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .symfunc import (SpectralIndex, central_index, enumerate_indices,
 
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
-_CHUNK_BYTES = 256 * 1024  # eigen_residual's buffers: 24 B per edge, 32 per vertex a row
+_CHUNK_BYTES = 256 * 1024  # eigen_residual's chunk: 24 B per edge, 48 per vertex a row
 
 
 @dataclass
@@ -102,34 +101,28 @@ def eigen_residual(I: SpectralIndex | list[SpectralIndex], params: GrassmannianP
                    operator: IncidenceOperator) -> float | np.ndarray:
     """Relative sup-norm residual of the closed-form eigenpair labeled by I
     against operator = c1_operator(params); for a list, the array of theirs.
-    Row i of a chunk, weighted and gathered, takes its edges by one unbuffered
-    np.add.at at i*rank + target in edge order from +0, and each eigenvalue
-    n * sum_j e^{i pi d_j / n} its roots in order: operator @ v's rounding."""
-    indices, k, n = I if isinstance(I, list) else [I], params.k, params.n
+    The eigenvalue n * sum roots_tuple(I) is spectrum_closed_form's, and row
+    i of a chunk takes its weighted, gathered edges by one unbuffered
+    np.add.at at i*rank + target in edge order from +0, as operator @ v."""
+    indices = I if isinstance(I, list) else [I]
     rank, nnz = params.rank, operator.nnz
-    rows = max(1, min(len(indices), _CHUNK_BYTES // (24 * nnz + 32 * rank)))
-    unit = np.roll([complex(math.cos(math.pi * d / n), math.sin(math.pi * d / n))
-                    for d in range(1 - k, 2 * n + 1 - k)], 1 - k)  # at d mod 2n
-    vr, gathered = np.empty((2, rows, rank), complex), np.empty((rows, nnz), complex)
-    (v, r), flat = vr, gathered.reshape(-1)
-    product = flat[:v.size].reshape(v.shape)  # eig * v, then |v| and |r| in mag
-    mag = product.view(float).reshape(vr.shape)
-    at = np.add.outer(rank * np.arange(rows), operator.target).ravel()
-    residuals = np.empty(-(-len(indices) // rows) * rows)
+    rows = max(1, min(len(indices), _CHUNK_BYTES // (24 * nnz + 48 * rank)))
+    eigs = params.n * roots_tuple(indices, params).sum(axis=1)
+    vectors, products, gathered = (np.empty((rows, m), complex) for m in (rank, rank, nnz))
+    at = np.add.outer(rank * np.arange(rows), operator.target)
+    residuals = np.empty(len(indices))
     for lo in range(0, len(indices), rows):
-        chunk = indices[lo:lo + rows]  # a short last one leaves stale rows
+        chunk = indices[lo:lo + rows]
+        v, r, g = vectors[:len(chunk)], products[:len(chunk)], gathered[:len(chunk)]
         for row, J in zip(v, chunk):
             row[:] = rietsch_eigenvector(J, params)
-        np.multiply(v, operator.weight, out=r)
-        np.take(r, operator.source, axis=1, out=gathered, mode="clip")  # "raise" copies
+        np.take(v * operator.weight, operator.source, axis=1, out=g,
+                mode="clip")  # "raise" copies
         r.fill(0)
-        np.add.at(r.reshape(-1), at, flat)
-        chunk += chunk[-1:] * (rows - len(chunk))
-        eig = n * np.add.accumulate(unit.take(chunk, mode="wrap"), axis=1)[:, -1]
-        r -= np.multiply(eig[:, None], v, out=product)  # eig first, as eig * v
-        top = np.maximum.reduce(np.abs(vr, out=mag), axis=2)
-        np.divide(top[1], top[0], out=residuals[lo:lo + rows])
-    return residuals[:len(indices)] if isinstance(I, list) else float(residuals[0])
+        np.add.at(r.reshape(-1), at[:len(chunk)].reshape(-1), g.reshape(-1))
+        r -= eigs[lo:lo + rows, None] * v  # eig first, as eig * v
+        residuals[lo:lo + rows] = np.abs(r).max(axis=1) / np.abs(v).max(axis=1)
+    return residuals if isinstance(I, list) else float(residuals[0])
 
 
 def _eigen_residuals(params: GrassmannianParams,
@@ -182,10 +175,8 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
         raise CrossCheckError(
             f"quantum Bruhat graph of Gr({k},{n}) is not strongly connected; "
             "Perron-Frobenius reasoning does not apply")
-    if shift is None:
-        shift = float(n)
     d_matrix, iterations, bracket = _power_iteration(
-        matrix, shift, DEFAULT_POWER_TOL, max_iter)
+        matrix, float(n) if shift is None else shift, DEFAULT_POWER_TOL, max_iter)
 
     one_box = (1,) + (0,) * (k - 1)
     s1 = schur_eval(one_box, roots_tuple(central_index(params), params))
@@ -204,7 +195,7 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                     f"delta0 routes disagree: {a}={routes[a]!r} vs {b}={routes[b]!r}")
 
     residuals = _eigen_residuals(params, matrix)
-    top_mult, rot_closed, top_roots = property_o_check(params, tol)
+    top_mult, rot_closed, top_roots = property_o_check(params)
     return SpectralReport(
         delta0_matrix=d_matrix,
         delta0_schur=d_schur,

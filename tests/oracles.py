@@ -28,7 +28,6 @@ one step, the reference for galkin's check from one F^k evaluation.
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-import math
 from math import comb, isqrt
 
 import mpmath
@@ -39,7 +38,7 @@ from chevalley import galkin
 from chevalley.bruhat import QuantumBruhatGraph
 from chevalley.combinatorics import (banded_binomials, empty_sites, lex_rank,
                                      ring_states)
-from chevalley.symfunc import homogeneous_table, rietsch_eigenvector
+from chevalley.symfunc import homogeneous_table, rietsch_eigenvector, roots_tuple
 
 TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
 
@@ -242,11 +241,10 @@ def second_proof_margin(n, grid_step):
 
 def eigen_residual_by_product(I, params, operator):
     """max|operator @ v - eig * v| / max|v| for v = rietsch_eigenvector(I),
-    with eig = n * S_(1)(zeta^I) summed as Python complex scalars."""
-    n = params.n
+    with eig = n * S_(1)(zeta^I) = n * sum roots_tuple(I), the eigenvalue
+    that spectrum_closed_form returns and `spectrum` prints."""
     v = rietsch_eigenvector(I, params)
-    eig = n * sum(complex(math.cos(math.pi * d / n), math.sin(math.pi * d / n))
-                  for d in I)
+    eig = params.n * np.sum(roots_tuple(I, params))
     r = operator @ v
     r -= eig * v
     return float(np.abs(r).max() / np.abs(v).max())

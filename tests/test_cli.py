@@ -112,7 +112,7 @@ class TestVerify:
 
     def test_top_circle_off_the_roots_fails(self, monkeypatch):
         monkeypatch.setattr(spectral, "property_o_check",
-                            lambda params, tol: (1, True, False))
+                            lambda params: (1, True, False))
         for command in ("verify", "spectrum"):
             code, out, _ = run_cli(command, "--k", "3", "--n", "7")
             assert code == 1
@@ -122,6 +122,21 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["property_o"] == {"top_multiplicity": 1,
                                                  "rotation_closed": True}
+
+    @pytest.mark.parametrize("n,tol,want", [(40, "0.9", 0), (300, "0.2", 0),
+                                            (40, "1e-14", 1)])
+    def test_property_o_does_not_read_tol(self, n, tol, want, monkeypatch):
+        # for k = 2 the second circle of moduli lies ~3 pi^2 / n below delta0:
+        # a band of --tol around it would reach it.  Only the residual gate
+        # reads --tol (1.5e-13 at Gr(2,40)); Gr(2,300)'s 44 850 residuals
+        # take ~40 s, so there they are stubbed out
+        if n == 300:
+            monkeypatch.setattr(spectral, "_eigen_residuals",
+                                lambda params, operator: np.zeros(params.rank))
+        code, out, _ = run_cli("verify", "--k", "2", "--n", str(n), "--tol", tol)
+        assert code == want
+        assert ("property_o: top_multiplicity=1  rotation_closed=True  "
+                "top_on_roots=True") in out
 
     def test_zero_cap_is_a_failed_check(self):
         code, _, err = run_cli("verify", "--k", "2", "--n", "6", "--max-iter", "0")

@@ -287,6 +287,19 @@ class TestOrbitWalk:
             assert np.array_equal(
                 got, [eigen_residual_by_product(I, p, op) for I in indices])
 
+    def test_residual_checks_the_printed_eigenvalue(self):
+        # each residual is the one-product residual against the same
+        # report's spectrum entry, bit for bit
+        for k, n in [(k, n) for n in range(2, 11) for k in range(1, n)] + [(2, 40)]:
+            p = GrassmannianParams(k, n)
+            op, report = c1_operator(p), spectral_report(p)
+            for I, eig, got in zip(enumerate_indices(p), report.spectrum,
+                                   report.eigen_residuals):
+                v = rietsch_eigenvector(I, p)
+                r = op @ v
+                r -= eig * v
+                assert got == np.abs(r).max() / np.abs(v).max(), (k, n, I)
+
     @pytest.mark.parametrize("k,n", [(6, 12), (2, 40), (1, 30), (5, 11)])
     def test_chunks_of_any_length(self, k, n, monkeypatch):
         # a list in any order, with a short last chunk: residuals in list order
@@ -294,7 +307,7 @@ class TestOrbitWalk:
         op = c1_operator(p)
         indices = enumerate_indices(p)[::-3]
         want = [eigen_residual_by_product(I, p, op) for I in indices]
-        row = 24 * op.nnz + 32 * p.rank
+        row = 24 * op.nnz + 48 * p.rank
         for budget in (1, 3 * row, 64 * row):
             monkeypatch.setattr(spectral, "_CHUNK_BYTES", budget)
             assert np.array_equal(eigen_residual(indices, p, op), want)
