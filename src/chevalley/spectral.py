@@ -30,6 +30,7 @@ from .symfunc import (SpectralIndex, central_index, enumerate_indices,
 DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
 _CHUNK_BYTES = 256 * 1024  # eigen_residual's chunk: 24 B per edge, 48 per vertex a row
+PROPERTY_O_TOL = 1e-8  # property_o_check's band, apart from --tol
 
 
 @dataclass
@@ -137,28 +138,28 @@ def _eigen_residuals(params: GrassmannianParams,
     return walked[np.argsort(order)]
 
 
-def property_o_check(params: GrassmannianParams,
-                     tol: float = 1e-8) -> tuple[int, bool, bool]:
+def property_o_check(params: GrassmannianParams) -> tuple[int, bool, bool]:
     """(top multiplicity, rotation closure, top circle lands on roots of unity).
 
-    Expected findings: the largest real eigenvalue is simple, the spectrum is
-    invariant under rotation by zeta = e^{2 pi i / n}, and every eigenvalue of
-    top modulus is that value times an n-th root of unity.  Closure is
-    certified by the bijection I -> I+ of the index set (rotation_orbits), where
-    I+ adds 2 to every doubled exponent and wraps past 2n-k-1 by -2n:
-    spectrum[I+] = zeta * spectrum[I] maps the multiset onto its rotation.
+    Expected findings, to PROPERTY_O_TOL: the largest real eigenvalue is
+    simple, the spectrum is invariant under rotation by zeta = e^{2 pi i / n},
+    and every eigenvalue of top modulus is that value times an n-th root of
+    unity.  Closure is certified by the bijection I -> I+ of the index set
+    (rotation_orbits), where I+ adds 2 to every doubled exponent and wraps
+    past 2n-k-1 by -2n: spectrum[I+] = zeta * spectrum[I] maps the multiset
+    onto its rotation.
     """
     n = params.n
     spectrum = spectrum_closed_form(params)
     delta0 = float(np.max(np.abs(spectrum)))
-    top_multiplicity = int(np.sum(np.abs(spectrum - delta0) < tol))
+    top_multiplicity = int(np.sum(np.abs(spectrum - delta0) < PROPERTY_O_TOL))
     zeta = np.exp(2j * np.pi / n)
     rotation_closed = bool(np.all(
-        np.abs(spectrum[rotation_orbits(params)[1]] - zeta * spectrum) < tol))
+        np.abs(spectrum[rotation_orbits(params)[1]] - zeta * spectrum) < PROPERTY_O_TOL))
     roots = delta0 * np.exp(2j * np.pi * np.arange(n) / n)
-    top = spectrum[np.abs(np.abs(spectrum) - delta0) < tol]
+    top = spectrum[np.abs(np.abs(spectrum) - delta0) < PROPERTY_O_TOL]
     top_arguments_are_roots = all(
-        np.min(np.abs(roots - z)) < tol for z in top)
+        np.min(np.abs(roots - z)) < PROPERTY_O_TOL for z in top)
     return top_multiplicity, rotation_closed, top_arguments_are_roots
 
 

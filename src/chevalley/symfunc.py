@@ -84,17 +84,16 @@ def schur_eval(lam: Partition, x) -> complex:
 def _vertex_tables(params: GrassmannianParams):
     """Tables of the determinants behind rietsch_eigenvector.
 
-    Returns (columns, orbit, turns, weights, phases).  The vertices, box
+    Returns (columns, orbit, turns, grades, powers).  The vertices, box
     partitions lam at their sites S = {lam_j + k - j}, are k-subsets of the
     n ring sites under the same rotation as the indices, so rotation_orbits
     holds their orbits too: columns lists the sites of each orbit's lex-least
-    member (for k > n/2 its n-k empty sites, from empty_sites),
-    and the box partition at canonical position c is the member of row
-    orbit[c] rotated turns[c] times.  weights holds the exact integer
-    |lam| = sum S - k(k-1)/2 of each box partition and phases[m, g] =
-    zeta^{-m g}, zeta = e^{2 pi i / n}, read from the n powers at the
-    integer m g mod n: row m takes each grade |lam| = g of an orbit's first
-    eigenvector to its m-th rotation.
+    member (for k > n/2 its n-k empty sites, from empty_sites; 8 min(k, n-k)
+    B per orbit), and the box partition at canonical position c is the member
+    of row orbit[c] rotated turns[c] times.  grades holds |lam| mod n, |lam| =
+    sum S - k(k-1)/2; orbit, turns and grades take 8 B per vertex each.
+    powers holds zeta^{-j}, zeta = e^{2 pi i / n}, for j < n: 16 B per ring
+    site, none per vertex.
     """
     k, n = params.k, params.n
     subsets, _, start, m = rotation_orbits(params)
@@ -102,10 +101,8 @@ def _vertex_tables(params: GrassmannianParams):
     reps = np.flatnonzero(start == np.arange(params.rank))
     columns = (empty_sites(n, k) if 2 * k > n else subsets)[reps]
     orbit = np.searchsorted(reps, start[lex])
-    weights = states.sum(axis=1) - k * (k - 1) // 2
-    phases = np.exp(-2j * np.pi * np.arange(n) / n)[
-        np.outer(np.arange(n), np.arange(params.dim + 1)) % n]
-    return columns, orbit, m[lex], weights, phases
+    grades = (states.sum(axis=1) - k * (k - 1) // 2) % n
+    return columns, orbit, m[lex], grades, np.exp(-2j * np.pi * np.arange(n) / n)
 
 
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
@@ -117,29 +114,30 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     if I is R rotated m times, v_I = zeta^{-m |lam|} * v_R coordinate by
     coordinate, zeta = e^{2 pi i / n}.  One rotation multiplies every root
     z_i by zeta (the wrap by -2n is a full turn), so the homogeneous
-    s_lam(z) gains zeta^{|lam|}, conjugated here.  The phase is read from a
-    per-grade table of the n powers of zeta^{-1} at the integer m|lam| mod
-    n (_vertex_tables), so no error accumulates along the orbit.  R and m
-    are read from rotation_orbits at I's lex position (lex_rank's comb sum);
-    ValueError unless I is a strictly increasing k-tuple of ints from the pool.
+    s_lam(z) gains zeta^{|lam|}, conjugated here.  The phases are the n
+    powers of zeta^{-1} (_vertex_tables) gathered at the integers m g mod n,
+    g < n, and read at each grade |lam| mod n: no error accumulates along
+    the orbit.  R and m are read from rotation_orbits at I's lex position,
+    summed in the one pass that checks I: ValueError unless I is a strictly
+    increasing k-tuple of ints from the pool -(k-1), -(k-1)+2, ..., 2n-k-1.
     """
     k, n = params.k, params.n
-    pool = range(-(k - 1), 2 * n - k, 2)
-    if (len(I) != k or any(not isinstance(d, (int, np.integer)) or d not in pool
-                           for d in I) or any(a >= b for a, b in zip(I, I[1:]))):
-        raise ValueError(f"{I} is not a strictly increasing {k}-tuple from {pool}")
-    pos = params.rank - 1 - sum(comb(n - 1 - (d + k - 1) // 2, k - i)
-                                for i, d in enumerate(I))
+    pos, low = params.rank - 1, -k
+    for i, d in enumerate(I if len(I) == k else [None]):  # other lengths fail on None
+        if not (isinstance(d, (int, np.integer)) and low < d < 2 * n - k and (d + k) % 2):
+            raise ValueError(f"{I} is not a strictly increasing {k}-tuple from "
+                             f"{range(-(k - 1), 2 * n - k, 2)}")
+        pos, low = pos - comb(n - 1 - (d + k - 1) // 2, k - i), d
     _, _, start, m = rotation_orbits(params)
-    *_, weights, phases = _vertex_tables(params)
+    *_, grades, powers = _vertex_tables(params)
     v = _orbit_vector(int(start[pos]), params)
-    return phases[m[pos]].take(weights) * v
+    return powers.take(m[pos] * np.arange(n) % n).take(grades) * v
 
 
 @lru_cache(maxsize=1)
 def _orbit_vector(pos: int, params: GrassmannianParams) -> np.ndarray:
     """rietsch_eigenvector at the index I of lex position pos by the
-    bialternant, read-only and cached for the rest of I's orbit in a walk.
+    bialternant, cached read-only for the rest of its orbit: 16 B per vertex.
 
     s_lam(z) is the bialternant det(z_i^{s_j}) / det(z_i^{j-1}) over the
     sorted sites S of lam, z = zeta^I.  Rotating S one site on multiplies

@@ -44,10 +44,10 @@ TAU_ALG = 1e-9  # absolute/relative tolerance for complex identities
 
 # (I, (k, n)) with I no index of Gr(k,n): Gr(2,5)'s are the strictly
 # increasing pairs from -1, 1, 3, 5, 7, Gr(1,3)'s the singletons 0, 2, 4,
-# and an integral float is no index
+# and an integral float is no index; -3 lies below the pool, 9 above it
 NOT_AN_INDEX = [((0, 2), (2, 5)), ((-1, 1, 3), (2, 5)), ((1, 1), (2, 5)),
                 ((9, 11), (2, 5)), ((1, -1), (2, 5)), ((7, 9), (2, 5)),
-                ((-1.0, 1.0), (2, 5)), ((0.0,), (1, 3))]
+                ((-1.0, 1.0), (2, 5)), ((0.0,), (1, 3)), ((-3, 1), (2, 5))]
 # the ids pytest gives a lone tuple parameter
 NOT_AN_INDEX_IDS = [f"I{i}" for i in range(len(NOT_AN_INDEX))]
 

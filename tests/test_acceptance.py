@@ -91,7 +91,7 @@ def test_criterion_5_eigen_residuals():
 def test_criterion_6_property_o():
     ok = True
     for p in all_params(12):
-        top, closed, _ = property_o_check(p, tol=1e-8)
+        top, closed, _ = property_o_check(p)
         ok = ok and top == 1 and closed
     report(6, ok, "top multiplicity 1 and rotation closure for n<=12")
 

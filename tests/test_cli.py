@@ -95,15 +95,15 @@ class TestVerify:
         assert obj["max_eigen_residual"] < 1e-8
 
     def test_wrong_phase_is_caught_by_the_residual(self, monkeypatch):
-        # |lam| off by one at one coordinate: every rotated eigenvector
-        # gets a wrong phase there, and only the residual can see it
+        # the grade |lam| mod n off by one at one coordinate: every rotated
+        # eigenvector gets a wrong phase there, and only the residual sees it
         real = symfunc._vertex_tables
 
         def off_by_one(params):
-            *tables, weights, phases = real(params)
-            weights = weights.copy()
-            weights[1] += 1
-            return (*tables, weights, phases)
+            *tables, grades, powers = real(params)
+            grades = grades.copy()
+            grades[1] += 1
+            return (*tables, grades, powers)
 
         monkeypatch.setattr(symfunc, "_vertex_tables", off_by_one)
         code, out, _ = run_cli("verify", "--k", "3", "--n", "7", "--format", "json")

@@ -316,7 +316,7 @@ class TestOrbitWalk:
     def test_residual_stage_stays_within_the_chunk_budget(self, k, n, monkeypatch):
         # the chunk buffers (at most _CHUNK_BYTES) beside the index tuples and
         # one vector's temporaries; every row at once would be rank times
-        # 24 B per edge and 32 B per vertex, ~94 MB at Gr(6,12)
+        # 24 B per edge and 48 B per vertex, ~108 MB at Gr(6,12)
         stage, peaks = spectral._eigen_residuals, []
 
         def traced(params, operator):
@@ -334,6 +334,41 @@ class TestOrbitWalk:
         monkeypatch.setattr(spectral, "_eigen_residuals", traced)
         spectral_report(p)
         assert peaks[0] <= spectral._CHUNK_BYTES + 160 * 1024, peaks
+
+    @pytest.mark.parametrize("k,n", [(1, 2000), (2, 80), (7, 14)])
+    def test_each_stage_is_linear_in_rank_k_plus_nnz(self, k, n, monkeypatch):
+        # with every per-instance table built inside the report, no stage
+        # holds more than 160 B per unit of rank*k + nnz beyond the residual
+        # chunk (_CHUNK_BYTES): 8 B per table entry, and at k = 1 ~120 B per
+        # index tuple the residual stage walks
+        peaks = {}
+
+        def traced(name, stage):
+            def run(*args, **kwargs):
+                if tracemalloc.is_tracing():  # nested in a traced stage
+                    return stage(*args, **kwargs)
+                tracemalloc.start()
+                try:
+                    out = stage(*args, **kwargs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks[name] = max(peaks.get(name, 0), peak)
+                return out
+            return run
+
+        stages = ("c1_operator", "is_strongly_connected", "_power_iteration",
+                  "schur_eval", "_eigen_residuals", "property_o_check",
+                  "spectrum_closed_form")
+        for name in stages:
+            monkeypatch.setattr(spectral, name, traced(name, getattr(spectral, name)))
+        for cached in (rotation_orbits, symfunc._vertex_tables, symfunc._orbit_vector):
+            cached.cache_clear()
+        p = GrassmannianParams(k, n)
+        spectral_report(p)
+        assert set(peaks) == set(stages)
+        peaks["_eigen_residuals"] -= spectral._CHUNK_BYTES
+        assert max(peaks.values()) <= 160 * (p.rank * k + c1_operator(p).nnz), peaks
 
     # orbits = binary necklaces, (1/n) sum over d | gcd(n, k) of
     # phi(d) C(n/d, k/d); periods below n where gcd(n, k) > 1

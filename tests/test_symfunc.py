@@ -204,6 +204,20 @@ class TestRietschEigenvector:
             tracemalloc.stop()
         assert peak < 6e6
 
+    def test_one_call_at_gr_1_4000_stays_under_1_mb(self):
+        # the cold call builds every table it reads, each linear in rank
+        # (0.8 MB); phases per grade, n x (dim + 1), would take 256 MB
+        p = GrassmannianParams(1, 4000)
+        for cached in (rotation_orbits, _vertex_tables, _orbit_vector):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            rietsch_eigenvector((2,), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestMaximality:
     def test_central_dominates_all(self):
