@@ -6,9 +6,5 @@ class InstanceTooLargeError(ValueError):
 
 
 class IterationFailureError(RuntimeError):
-    """The matrix route's Collatz-Wielandt bracket did not narrow to its
-    tolerance within max_iter operator products."""
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent routes to the same quantity disagree beyond tolerance."""
+    """principal_eigenvalue's Collatz-Wielandt bracket did not narrow within
+    DEFAULT_MAX_ITER operator products (spectral_report fails `converged`)."""

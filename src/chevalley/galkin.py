@@ -91,10 +91,8 @@ def verify_galkin(params: GrassmannianParams) -> GalkinReport:
     eq_tol = TAU_NUM * max(1.0, bound)
     equality = abs(margin) <= eq_tol
     is_pn = k == 1 or k == n - 1
-    if margin < -eq_tol or equality != is_pn:
-        verdict = "VIOLATION"
-    else:
-        verdict = "holds_equality" if equality else "holds_strict"
+    holds = margin >= -eq_tol and equality == is_pn  # so NaN fails
+    verdict = ("holds_equality" if equality else "holds_strict") if holds else "VIOLATION"
     return GalkinReport(delta0, bound, margin, equality, is_pn, verdict)
 
 

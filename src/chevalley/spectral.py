@@ -11,6 +11,8 @@ the index table combinatorics.rotation_orbits.  Every closed-form eigenpair,
 with the eigenvalue that spectrum lists, is checked by residual against the
 built operator, orbit by orbit of the rotation I -> I+ (rietsch_eigenvector:
 one stacked determinant per orbit), in chunks of rows, one np.add.at each.
+spectral_report raises on no failed check: it decides every check from one
+table of named passing conditions and lists the names that fail.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .bruhat import (IncidenceOperator, build_graph, incidence_matrix,
                      is_strongly_connected)
 from .combinatorics import GrassmannianParams, rotation_orbits
-from .errors import CrossCheckError, IterationFailureError
+from .errors import IterationFailureError
 from . import galkin
 from .symfunc import (SpectralIndex, central_index, enumerate_indices,
                       rietsch_eigenvector, roots_tuple, schur_eval)
@@ -47,6 +49,7 @@ class SpectralReport:
     max_eigen_residual: float
     power_iterations: int  # operator products of the power steps
     matrix_bracket: tuple[float, float]  # Collatz-Wielandt [lo, hi] on delta0
+    failed: list[str]  # the checks of spectral_report that did not pass
 
 
 def c1_operator(params: GrassmannianParams) -> IncidenceOperator:
@@ -55,41 +58,49 @@ def c1_operator(params: GrassmannianParams) -> IncidenceOperator:
     return incidence_matrix(graph, float(params.n))
 
 
+def _narrow(bracket, tol) -> bool:
+    """The power steps' stop: a bracket narrower than tol*max(1, midpoint)."""
+    lo, hi = bracket
+    return hi - lo < tol * max(1.0, 0.5 * (lo + hi))
+
+
 def _power_iteration(matrix, shift, tol, max_iter):
     """(value, operator products, Collatz-Wielandt bracket) of the Perron root.
 
     From v = matrix.start, or all ones for a matrix without one, shifted
     power steps v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and
     v > 0, min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every
-    product; the midpoint is returned once the width is below
-    tol*max(1, midpoint).
+    product.  Stops once the bracket is _narrow, after max_iter products or
+    on an iterate of no positive norm, and returns the last bracket (NaN
+    before any product) with its midpoint.
     """
     start = getattr(matrix, "start", None)
     v = np.ones(matrix.shape[0]) if start is None else np.array(start, float)
-    for products in range(1, max_iter + 1):
-        norm = np.linalg.norm(v)
-        if not norm > 0:
-            raise IterationFailureError("iterate collapsed to zero")
+    products, lo, hi = 0, np.nan, np.nan
+    while products < max_iter and (norm := np.linalg.norm(v)) > 0:
         v /= norm
         av = matrix @ v
+        products += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = av / v
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol * max(1.0, mid):
-            return mid, products, (lo, hi)
+        if _narrow((lo, hi), tol):
+            break
         v = av + shift * v
-    raise IterationFailureError(
-        f"no convergence after {max_iter} operator products")
+    return 0.5 * (lo + hi), products, (lo, hi)
 
 
 def principal_eigenvalue(matrix, shift: float) -> float:
     """Largest real eigenvalue of a nonnegative irreducible matrix (anything
     with `shape` and `@` on vectors): the midpoint of _power_iteration's
-    Collatz-Wielandt bracket once narrower than DEFAULT_POWER_TOL relative,
-    within DEFAULT_MAX_ITER operator products."""
-    return _power_iteration(matrix, shift, DEFAULT_POWER_TOL,
-                            DEFAULT_MAX_ITER)[0]
+    Collatz-Wielandt bracket once narrower than DEFAULT_POWER_TOL relative;
+    IterationFailureError if it is not within DEFAULT_MAX_ITER products."""
+    value, products, bracket = _power_iteration(
+        matrix, shift, DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
+    if not _narrow(bracket, DEFAULT_POWER_TOL):
+        raise IterationFailureError(
+            f"no convergence after {products} operator products")
+    return value
 
 
 def spectrum_closed_form(params: GrassmannianParams) -> np.ndarray:
@@ -156,52 +167,43 @@ def property_o_check(params: GrassmannianParams) -> tuple[int, bool, bool]:
     zeta = np.exp(2j * np.pi / n)
     rotation_closed = bool(np.all(
         np.abs(spectrum[rotation_orbits(params)[1]] - zeta * spectrum) < PROPERTY_O_TOL))
-    roots = delta0 * np.exp(2j * np.pi * np.arange(n) / n)
     top = spectrum[np.abs(np.abs(spectrum) - delta0) < PROPERTY_O_TOL]
-    top_arguments_are_roots = all(
-        np.min(np.abs(roots - z)) < PROPERTY_O_TOL for z in top)
+    nearest = np.rint(n * np.angle(top) / (2 * np.pi)) % n  # by angle = by distance
+    top_arguments_are_roots = bool(np.all(
+        np.abs(delta0 * np.exp(2j * np.pi * nearest / n) - top) < PROPERTY_O_TOL))
     return top_multiplicity, rotation_closed, top_arguments_are_roots
 
 
 def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
                     shift: float | None = None,
                     max_iter: int = DEFAULT_MAX_ITER) -> SpectralReport:
-    """Compute delta0 by all four routes and cross-check them pairwise,
-    then check every closed-form eigenpair (_eigen_residuals, orbit by orbit
-    of the rotation, each residual stored at its index's lex position) and
-    property O."""
+    """Compute delta0 by all four routes, check every closed-form eigenpair
+    (_eigen_residuals, orbit by orbit of the rotation, each residual stored
+    at its index's lex position) and property O, and evaluate every check
+    into one table; no failed check raises, its name goes to `failed`."""
     k, n = params.k, params.n
     matrix = c1_operator(params)
-    if not is_strongly_connected(matrix):
-        raise CrossCheckError(
-            f"quantum Bruhat graph of Gr({k},{n}) is not strongly connected; "
-            "Perron-Frobenius reasoning does not apply")
     d_matrix, iterations, bracket = _power_iteration(
         matrix, float(n) if shift is None else shift, DEFAULT_POWER_TOL, max_iter)
-
     one_box = (1,) + (0,) * (k - 1)
     s1 = schur_eval(one_box, roots_tuple(central_index(params), params))
-    if abs(s1.imag) > tol * max(1.0, abs(s1)):
-        raise CrossCheckError(f"S_(1) at the central index is not real: {s1}")
-    d_schur = n * s1.real
-    d_sine = galkin.delta0_sine(k, float(n))
-    d_cosine = galkin.delta0_cosine_sum(k, float(n))
-
-    routes = {"matrix": d_matrix, "schur": d_schur,
-              "sine": d_sine, "cosine": d_cosine}
-    for a in routes:
-        for b in routes:
-            if abs(routes[a] - routes[b]) > tol * max(1.0, abs(routes[a])):
-                raise CrossCheckError(
-                    f"delta0 routes disagree: {a}={routes[a]!r} vs {b}={routes[b]!r}")
-
+    routes = (d_matrix, n * s1.real, galkin.delta0_sine(k, float(n)),
+              galkin.delta0_cosine_sum(k, float(n)))  # the delta0_* fields
     residuals = _eigen_residuals(params, matrix)
     top_mult, rot_closed, top_roots = property_o_check(params)
+    checks = {  # each as its passing condition, so NaN fails it
+        "strongly_connected": is_strongly_connected(matrix),  # so the bracket holds
+        "converged": _narrow(bracket, DEFAULT_POWER_TOL),
+        "schur_real": abs(s1.imag) <= tol * max(1.0, abs(s1)),
+        "routes_agree": all(abs(a - b) <= tol * max(1.0, abs(a))
+                            for a in routes for b in routes),
+        "residuals": residuals.max() < tol,
+        "top_simple": top_mult == 1,
+        "rotation_closed": rot_closed,
+        "top_on_roots": top_roots,
+    }
     return SpectralReport(
-        delta0_matrix=d_matrix,
-        delta0_schur=d_schur,
-        delta0_sine=d_sine,
-        delta0_cosine=d_cosine,
+        *routes,
         spectrum=spectrum_closed_form(params),
         top_multiplicity=top_mult,
         rotation_closed=rot_closed,
@@ -210,4 +212,5 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
         max_eigen_residual=float(residuals.max()),
         power_iterations=iterations,
         matrix_bracket=bracket,
+        failed=[name for name, passed in checks.items() if not passed],
     )

@@ -24,6 +24,9 @@ product, the reference that the chunked spectral.eigen_residual must match
 bit for bit.  concavity_monotonicity_by_two_grids is the F^k concavity and
 monotonicity check with F^k evaluated on its grid and on the grid moved by
 one step, the reference for galkin's check from one F^k evaluation.
+top_on_roots_by_scan is property O's top-circle finding by comparing each
+top eigenvalue with all n scaled roots of unity, the reference for
+spectral.property_o_check's nearest root by angle.
 """
 
 from functools import lru_cache
@@ -319,3 +322,12 @@ def shifted(I, n):
     """I+: every doubled exponent plus 2, wrapped past 2n-k-1 by -2n."""
     top = 2 * n - len(I) - 1
     return tuple(sorted(d + 2 if d + 2 <= top else d + 2 - 2 * n for d in I))
+
+
+def top_on_roots_by_scan(spectrum, n, tol):
+    """Every eigenvalue within tol of the top modulus delta0 lies within tol
+    of one of the n values delta0 * zeta^j, each compared with all of them."""
+    delta0 = float(np.max(np.abs(spectrum)))
+    roots = delta0 * np.exp(2j * np.pi * np.arange(n) / n)
+    top = spectrum[np.abs(np.abs(spectrum) - delta0) < tol]
+    return all(np.min(np.abs(roots - z)) < tol for z in top)

@@ -145,6 +145,15 @@ class TestVerify:
         assert r.margin > 0 and not r.equality and r.is_projective_space
         assert r.verdict == "VIOLATION"
 
+    @pytest.mark.parametrize("k,n", [(1, 7), (2, 4), (3, 7)])
+    def test_nan_delta0_is_a_violation(self, k, n, monkeypatch):
+        # every comparison with NaN is false: a gate written as its failing
+        # condition would let it through as holds_strict
+        monkeypatch.setattr(galkin, "delta0_sine", lambda k, x: float("nan"))
+        r = verify_galkin(GrassmannianParams(k, n))
+        assert math.isnan(r.margin) and not r.equality
+        assert r.verdict == "VIOLATION"
+
     def test_reduction_preserves_report(self):
         for n in range(2, 30):
             for k in range(1, n):

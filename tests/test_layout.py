@@ -183,14 +183,22 @@ def test_ci_runs_the_tier1_command():
     assert runs[:2] == ["pip install -e .[test]", command]
     # then the exit codes of the installed `chevalley` script, which no test
     # runs, each command with the exit code it must give
-    entry, bounded, gate, smoke = runs[2:]
+    entry, strict, bounded, gate, smoke = runs[2:]
     assert "chevalley $args" in entry and "exit 1" in entry
     assert re.findall(r"^(\d) (.+)$", entry, re.M) == [
         ("0", "verify --k 3 --n 7"), ("0", "sweep --n-max 12"),
         ("0", "inequalities --n-max 60"), ("0", "spectrum --k 3 --n 7"),
         ("0", "graph --k 2 --n 5"), ("0", "fk --k 2 --x-min 3 --x-max 5 --step 1"),
         ("0", "verify --k 2 --n 40 --tol 0.9"), ("1", "verify --k 3 --n 8 --max-iter 0"),
+        ("1", "verify --k 3 --n 8 --max-iter 0 --format json"),
+        ("1", "spectrum --k 3 --n 7 --tol 1e-16"),
         ("2", "sweep --n-max 1"), ("2", "verify --k 3 --n 7 --tol 1")]
+    # then a failed check's report, captured without letting bash -e end the
+    # step on the expected exit 1: strict JSON whose "failed" names it
+    assert ("code=0; out=$(chevalley verify --k 3 --n 8 --max-iter 0 --format json)"
+            " || code=$?") in strict
+    assert 'if [ "$code" != 1 ]' in strict and "parse_constant=refuse" in strict
+    assert "'converged' not in" in strict and '<<< "$out"' in strict
     # then Gr(1,6000) inside 700 MB of address space, exit 0: a table that
     # grows with n^2 (549 MB of phases there) cannot be allocated
     assert bounded == ("(ulimit -v 700000; OPENBLAS_NUM_THREADS=1 "

@@ -10,7 +10,7 @@ from chevalley.errors import IterationFailureError
 from chevalley.galkin import delta0_sine
 from chevalley import spectral, symfunc
 from chevalley.spectral import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL,
-                                _power_iteration, c1_operator,
+                                PROPERTY_O_TOL, _power_iteration, c1_operator,
                                 eigen_residual, principal_eigenvalue,
                                 property_o_check, spectral_report,
                                 spectrum_closed_form)
@@ -19,7 +19,7 @@ from chevalley.symfunc import (central_index, enumerate_indices,
 
 from oracles import (NOT_AN_INDEX, NOT_AN_INDEX_IDS, dense,
                      eigen_residual_by_product, multiset_invariant_under,
-                     shifted)
+                     shifted, top_on_roots_by_scan)
 
 
 def sorted_complex(values):
@@ -138,15 +138,34 @@ class TestPrincipalEigenvalue:
         _power_iteration(m, 7.0, DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
         assert np.array_equal(m.start, start)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        # only principal_eigenvalue raises at the cap; _power_iteration
+        # returns its last bracket, which spectral_report fails as `converged`
+        monkeypatch.setattr(spectral, "DEFAULT_POWER_TOL", 0.0)
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 5)
         m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(IterationFailureError, match="after 5 operator products"):
-            _power_iteration(m, 1.0, 0.0, 5)
+            principal_eigenvalue(m, 1.0)
 
-    def test_no_products_allowed_raises(self):
+    def test_no_products_allowed_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 0)
         m = c1_operator(GrassmannianParams(2, 5))
         with pytest.raises(IterationFailureError, match="after 0 operator products"):
-            _power_iteration(m, 5.0, DEFAULT_POWER_TOL, 0)
+            principal_eigenvalue(m, 5.0)
+
+    def test_the_cap_returns_the_last_bracket(self):
+        m = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        value, products, (lo, hi) = _power_iteration(m, 1.0, 0.0, 5)
+        assert products == 5 and lo <= 2.0 <= hi and value == 0.5 * (lo + hi)
+        value, products, bracket = _power_iteration(
+            c1_operator(GrassmannianParams(2, 5)), 5.0, DEFAULT_POWER_TOL, 0)
+        assert products == 0 and np.isnan([value, *bracket]).all()
+
+    def test_a_collapsed_iterate_stops_without_raising(self):
+        # a nilpotent matrix sends the iterate to zero after two products
+        m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        value, products, (lo, hi) = _power_iteration(m, 0.0, DEFAULT_POWER_TOL, 10)
+        assert products == 2 and not hi - lo < DEFAULT_POWER_TOL
 
 
 def bracket_instances():
@@ -187,11 +206,8 @@ class TestCollatzWielandtBracket:
             m.start[m.shape[0] // 2] *= 1e3
         else:  # the start of the reversed vertex order
             m.start = m.start[::-1].copy()
-        try:
-            value, products, (lo, hi) = _power_iteration(
-                m, float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
-        except IterationFailureError:
-            return
+        value, products, (lo, hi) = _power_iteration(
+            m, float(n), DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
         assert products > 1
         want = sine_form(k, n)
         ulps = 4 * np.spacing(want)
@@ -425,6 +441,29 @@ class TestPropertyO:
         spectrum[moved] *= np.exp(1j * np.pi / 5)  # half a root on: still top modulus
         monkeypatch.setattr(spectral, "spectrum_closed_form", lambda params: spectrum)
         assert property_o_check(p) == (1, False, False)
+
+    def test_top_circle_matches_the_scan_oracle(self):
+        for n in range(2, 15):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                want = top_on_roots_by_scan(spectrum_closed_form(p), n, PROPERTY_O_TOL)
+                assert property_o_check(p)[2] == want
+
+    @pytest.mark.parametrize("k,n", [(1, 7), (2, 5), (3, 7), (4, 9), (2, 14)])
+    @pytest.mark.parametrize("step,want", [(2e-8, False), (-2e-8, False),
+                                           (5e-9, True), (-5e-9, True)])
+    def test_top_value_moved_along_the_circle(self, k, n, step, want, monkeypatch):
+        # each top value in turn moved `step` along the top circle: off its
+        # root by |step|, so found on the roots only within PROPERTY_O_TOL
+        p = GrassmannianParams(k, n)
+        real = spectrum_closed_form(p)
+        delta0 = np.abs(real).max()
+        for i in np.flatnonzero(np.abs(np.abs(real) - delta0) < PROPERTY_O_TOL):
+            spectrum = real.copy()
+            spectrum[i] *= np.exp(1j * step / delta0)
+            monkeypatch.setattr(spectral, "spectrum_closed_form", lambda params: spectrum)
+            assert property_o_check(p)[2] == want
+            assert top_on_roots_by_scan(spectrum, n, PROPERTY_O_TOL) == want
 
     def test_duplicated_top_eigenvalue(self, monkeypatch):
         p = GrassmannianParams(3, 7)
