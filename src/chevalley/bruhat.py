@@ -16,15 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import (GrassmannianParams, Partition, banded_binomials,
-                            empty_sites, lex_rank, partitions_of, ring_states)
+                            lex_rank, partitions_of, ring_states)
 
 
 @dataclass(eq=False)
 class QuantumBruhatGraph:
     """sites[i]: vertex i's k occupied sites, or for k > n/2 its n-k empty ones,
-    ascending; states (the occupied ones) and partition tuples are made when
-    read.  Column e of edge_table is edge e's (source, target, degree), and
-    edges is its (nnz, 3) transposed view: one row per edge."""
+    ascending; states (the occupied ones: ring_states') and partition tuples
+    are made when read.  Column e of edge_table is edge e's (source, target,
+    degree), and edges is its (nnz, 3) transposed view: one row per edge."""
 
     params: GrassmannianParams
     sites: np.ndarray
@@ -32,9 +32,8 @@ class QuantumBruhatGraph:
 
     @cached_property
     def states(self) -> np.ndarray:
-        n, k = self.params.n, self.params.k  # complement reverses lex order
-        return self.sites if 2 * k <= n else empty_sites(n, n - k).T.take(
-            lex_rank(self.sites, n), axis=1).T
+        params = self.params
+        return self.sites if 2 * params.k <= params.n else ring_states(params)[0]
 
     @cached_property
     def vertices(self) -> list[Partition]:

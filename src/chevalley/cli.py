@@ -16,7 +16,7 @@ power steps that certify the matrix route's Collatz-Wielandt bracket (default
 n), and --max-iter caps their operator products (from the closed-form Perron
 vector one suffices); sweep has none: a row whose matrix route does not
 converge within spectral.DEFAULT_MAX_ITER products gets the verdict
-NOT_CONVERGED.  Every command runs in one process.
+NOT_CONVERGED, if its bound holds.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def _sweep_row(k, n, tol, rank_cap):
             if not abs(matrix_delta0 - grep.delta0) <= tol * max(1.0, grep.delta0):
                 verdict = "ROUTES_DISAGREE"
     return {"k": k, "n": n, "delta0": grep.delta0, "delta0_matrix": matrix_delta0,
-            "bound": grep.bound, "margin": grep.margin, "verdict": verdict}
+            "bound": grep.bound, "margin": grep.margin,
+            "verdict": verdict if grep.verdict in gk.HOLDS else grep.verdict}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -7,8 +7,8 @@ each weight.
 
 Tables of sites are column-major, (k, rank) arrays seen as (rank, k), so
 each particle's sites are one contiguous row and every per-particle pass is
-one-dimensional.  Canonical order comes from a colex key (ring_states), the
-ring's rotation orbits from rotation_orbits, complements from empty_sites.
+one-dimensional.  Each ring fact has one table: canonical order and occupied
+sites in ring_states (a colex key), orbits in rotation_orbits, holes in empty_sites.
 """
 
 from __future__ import annotations

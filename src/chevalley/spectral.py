@@ -68,11 +68,11 @@ def _power_iteration(matrix, shift, tol, max_iter):
     """(value, operator products, Collatz-Wielandt bracket) of the Perron root.
 
     From v = matrix.start, or all ones for a matrix without one, shifted
-    power steps v <- (Av + shift*v)/||.||.  For A >= 0 irreducible and
-    v > 0, min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every
-    product.  Stops once the bracket is _narrow, after max_iter products or
-    on an iterate of no positive norm, and returns the last bracket (NaN
-    before any product) with its midpoint.
+    power steps v <- (Av + shift*v)/||.||.  For any A >= 0 and v > 0,
+    min_i (Av)_i/v_i <= rho(A) <= max_i (Av)_i/v_i after every product (for
+    A irreducible and shift > 0 it narrows onto rho).  Stops once _narrow,
+    after max_iter products or on an iterate of no positive norm, and returns
+    the last bracket (NaN before any product) with its midpoint.
     """
     start = getattr(matrix, "start", None)
     v = np.ones(matrix.shape[0]) if start is None else np.array(start, float)
@@ -91,10 +91,10 @@ def _power_iteration(matrix, shift, tol, max_iter):
 
 
 def principal_eigenvalue(matrix, shift: float) -> float:
-    """Largest real eigenvalue of a nonnegative irreducible matrix (anything
-    with `shape` and `@` on vectors): the midpoint of _power_iteration's
-    Collatz-Wielandt bracket once narrower than DEFAULT_POWER_TOL relative;
-    IterationFailureError if it is not within DEFAULT_MAX_ITER products."""
+    """Largest real eigenvalue rho of a nonnegative matrix (anything with
+    `shape` and `@` on vectors): the midpoint of _power_iteration's bracket
+    once narrower than DEFAULT_POWER_TOL relative, which irreducibility lets
+    it reach; IterationFailureError if not within DEFAULT_MAX_ITER products."""
     value, products, bracket = _power_iteration(
         matrix, shift, DEFAULT_POWER_TOL, DEFAULT_MAX_ITER)
     if not _narrow(bracket, DEFAULT_POWER_TOL):
@@ -191,12 +191,14 @@ def spectral_report(params: GrassmannianParams, tol: float = 1e-8,
               galkin.delta0_cosine_sum(k, float(n)))  # the delta0_* fields
     residuals = _eigen_residuals(params, matrix)
     top_mult, rot_closed, top_roots = property_o_check(params)
+    converged = _narrow(bracket, DEFAULT_POWER_TOL)
+    compared = routes if converged else routes[1:]  # the matrix route once converged
     checks = {  # each as its passing condition, so NaN fails it
-        "strongly_connected": is_strongly_connected(matrix),  # so the bracket holds
-        "converged": _narrow(bracket, DEFAULT_POWER_TOL),
+        "strongly_connected": is_strongly_connected(matrix),  # A irreducible
+        "converged": converged,
         "schur_real": abs(s1.imag) <= tol * max(1.0, abs(s1)),
         "routes_agree": all(abs(a - b) <= tol * max(1.0, abs(a))
-                            for a in routes for b in routes),
+                            for a in compared for b in compared),
         "residuals": residuals.max() < tol,
         "top_simple": top_mult == 1,
         "rotation_closed": rot_closed,

@@ -12,12 +12,12 @@ behind rietsch_eigenvector, the k x k minors of the matrix (z_i^c).
 Indices and box partitions are both k-subsets of n ring sites under one
 rotation (every doubled exponent +2, wrapping past 2n-k-1 by -2n; every
 site one on), so one lex table of k-subsets (combinatorics.rotation_orbits)
-holds the index set, its rotation and each orbit's start for both.  Per
-orbit of indices one stacked determinant over the first members of the
-partitions' orbits gives the minors; the rest follow by exact phases: the
-orbit's other eigenvectors are its first one times zeta^{-m |lam|}, zeta =
-e^{2 pi i / n}, and a partition's other minors its first one times
-(prod z)^m.
+holds the index set, its rotation and each orbit's start for both, and
+_vertex_tables the rest (from it, ring_states and empty_sites).  Per orbit
+of indices one stacked determinant over the first members of the partitions'
+orbits gives the minors; the rest follow by exact phases: the orbit's other
+eigenvectors are its first one times zeta^{-m |lam|}, zeta = e^{2 pi i / n},
+and a partition's other minors its first one times (prod z)^m.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def enumerate_indices(params: GrassmannianParams) -> list[SpectralIndex]:
 
 def central_index(params: GrassmannianParams) -> SpectralIndex:
     """The symmetric tuple (-(k-1)/2, ..., (k-1)/2), doubled."""
-    k = params.k
-    return tuple(range(-(k - 1), k - 1 + 1, 2))
+    return tuple(range(1 - params.k, params.k, 2))
 
 
 def roots_tuple(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
@@ -84,25 +83,26 @@ def schur_eval(lam: Partition, x) -> complex:
 def _vertex_tables(params: GrassmannianParams):
     """Tables of the determinants behind rietsch_eigenvector.
 
-    Returns (columns, orbit, turns, grades, powers).  The vertices, box
-    partitions lam at their sites S = {lam_j + k - j}, are k-subsets of the
-    n ring sites under the same rotation as the indices, so rotation_orbits
+    Returns (columns, orbit, turns, row, m, grades, powers).  The vertices,
+    box partitions lam at their sites S = {lam_j + k - j}, are k-subsets of
+    the n ring sites under the same rotation as the indices, so rotation_orbits
     holds their orbits too: columns lists the sites of each orbit's lex-least
     member (for k > n/2 its n-k empty sites, from empty_sites; 8 min(k, n-k)
-    B per orbit), and the box partition at canonical position c is the member
-    of row orbit[c] rotated turns[c] times.  grades holds |lam| mod n, |lam| =
-    sum S - k(k-1)/2; orbit, turns and grades take 8 B per vertex each.
-    powers holds zeta^{-j}, zeta = e^{2 pi i / n}, for j < n: 16 B per ring
-    site, none per vertex.
+    B per orbit).  The k-subset of lex rank i, index or vertex, is row row[i]
+    rotated m[i] times (rotation_orbits' m); orbit and turns are row and m at
+    each vertex's lex rank (ring_states).  grades holds |lam| mod n, |lam| =
+    sum S - k(k-1)/2; row, orbit, turns and grades take 8 B per vertex each.
+    powers holds zeta^{-j}, zeta = e^{2 pi i / n}, for j < n: 16 B per ring site.
     """
     k, n = params.k, params.n
     subsets, _, start, m = rotation_orbits(params)
     states, lex = ring_states(params)
     reps = np.flatnonzero(start == np.arange(params.rank))
     columns = (empty_sites(n, k) if 2 * k > n else subsets)[reps]
-    orbit = np.searchsorted(reps, start[lex])
+    row = np.searchsorted(reps, start)
     grades = (states.sum(axis=1) - k * (k - 1) // 2) % n
-    return columns, orbit, m[lex], grades, np.exp(-2j * np.pi * np.arange(n) / n)
+    powers = np.exp(-2j * np.pi * np.arange(n) / n)
+    return columns, row[lex], m[lex], row, m, grades, powers
 
 
 def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndarray:
@@ -117,7 +117,7 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
     s_lam(z) gains zeta^{|lam|}, conjugated here.  The phases are the n
     powers of zeta^{-1} (_vertex_tables) gathered at the integers m g mod n,
     g < n, and read at each grade |lam| mod n: no error accumulates along
-    the orbit.  R and m are read from rotation_orbits at I's lex position,
+    the orbit.  R and m are read from _vertex_tables at I's lex position,
     summed in the one pass that checks I: ValueError unless I is a strictly
     increasing k-tuple of ints from the pool -(k-1), -(k-1)+2, ..., 2n-k-1.
     """
@@ -128,15 +128,14 @@ def rietsch_eigenvector(I: SpectralIndex, params: GrassmannianParams) -> np.ndar
             raise ValueError(f"{I} is not a strictly increasing {k}-tuple from "
                              f"{range(-(k - 1), 2 * n - k, 2)}")
         pos, low = pos - comb(n - 1 - (d + k - 1) // 2, k - i), d
-    _, _, start, m = rotation_orbits(params)
-    *_, grades, powers = _vertex_tables(params)
-    v = _orbit_vector(int(start[pos]), params)
+    *_, row, m, grades, powers = _vertex_tables(params)
+    v = _orbit_vector(int(row[pos]), params)
     return powers.take(m[pos] * np.arange(n) % n).take(grades) * v
 
 
 @lru_cache(maxsize=1)
-def _orbit_vector(pos: int, params: GrassmannianParams) -> np.ndarray:
-    """rietsch_eigenvector at the index I of lex position pos by the
+def _orbit_vector(row: int, params: GrassmannianParams) -> np.ndarray:
+    """rietsch_eigenvector at the lex-least index I of orbit `row` by the
     bialternant, cached read-only for the rest of its orbit: 16 B per vertex.
 
     s_lam(z) is the bialternant det(z_i^{s_j}) / det(z_i^{j-1}) over the
@@ -155,11 +154,9 @@ def _orbit_vector(pos: int, params: GrassmannianParams) -> np.ndarray:
     (-1)^{sum S} into a factor fixed by I and cancels the (-1)^n each wrap
     of the n-k complementary columns would add.
     """
-    columns, orbit, turns, _, _ = _vertex_tables(params)
-    k, n = params.k, params.n
-    sites = rotation_orbits(params)[0][pos]
-    d = (n + k - 1 - 2 * np.setdiff1d(np.arange(n), sites) if 2 * k > n
-         else 2 * sites - (k - 1))
+    columns, orbit, turns, *_ = _vertex_tables(params)
+    k, n, sites = params.k, params.n, columns[row]
+    d = n + k - 1 - 2 * sites if 2 * k > n else 2 * sites - (k - 1)
     unit = np.exp(1j * np.pi * np.arange(2 * n) / n)
     # z_i^c at c d_i mod 2n, so large n loses no accuracy; row c of powers
     # is site c, so powers[columns] stacks the transposed minors

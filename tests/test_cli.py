@@ -194,13 +194,30 @@ class TestSweep:
         assert all(r["delta0_matrix"] is None for r in rows)
 
     def test_nan_sine_is_a_violation(self, monkeypatch):
+        # the matrix route runs on every row and disagrees with the NaN, but
+        # a failed bound stands over a route verdict
         monkeypatch.setattr(galkin, "delta0_sine", lambda k, x: float("nan"))
-        code, out, _ = run_cli("sweep", "--n-max", "5", "--rank-cap", "5")
+        code, out, _ = run_cli("sweep", "--n-max", "5", "--format", "json")
         assert code == 1
-        verdicts = {tuple(map(int, line.split()[:2])): line.split()[-1]
-                    for line in out.splitlines()[1:]}
-        assert {kn for kn, v in verdicts.items() if v == "VIOLATION"} == {
-            (2, 4), (2, 5), (3, 5)}
+        rows = json.loads(out)
+        assert [r["verdict"] for r in rows] == ["VIOLATION"] * 10
+        assert all(r["delta0_matrix"] > 0 for r in rows)  # still computed
+        code, out, _ = run_cli("sweep", "--n-max", "5")
+        assert code == 1
+        assert [line.split()[-1] for line in out.splitlines()[1:]] == ["VIOLATION"] * 10
+
+    def test_a_violation_stands_over_not_converged(self, monkeypatch):
+        def capped(matrix, shift):
+            raise IterationFailureError("capped")
+
+        monkeypatch.setattr(spectral, "principal_eigenvalue", capped)
+        monkeypatch.setattr(galkin, "TAU_NUM", 1.0)  # (2,4), (2,5), (3,5) fail
+        code, out, _ = run_cli("sweep", "--n-max", "5", "--format", "json")
+        assert code == 1
+        verdicts = {(r["k"], r["n"]): r["verdict"] for r in json.loads(out)}
+        assert verdicts == {(k, n): "VIOLATION" if (k, n) in {(2, 4), (2, 5), (3, 5)}
+                            else "NOT_CONVERGED"
+                            for n in range(2, 6) for k in range(1, n)}
 
     def test_rank_cap_below_two(self):
         code, out, err = run_cli("sweep", "--n-max", "5", "--rank-cap", "1")

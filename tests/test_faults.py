@@ -22,6 +22,7 @@ from chevalley import galkin, spectral, symfunc
 from chevalley.cli import main
 
 GR37 = ("--k", "3", "--n", "7")
+ZERO_CAP = ("--k", "2", "--n", "6", "--max-iter", "0")
 
 
 def run_cli(*argv):
@@ -159,11 +160,12 @@ FAULTS = {
     "not_strongly_connected": Fault(
         ["strongly_connected"],
         replace(spectral, "is_strongly_connected", lambda real: lambda matrix: False)),
-    "zero_cap": Fault(
-        ["converged", "routes_agree"], argv=("--k", "2", "--n", "6", "--max-iter", "0"),
-        spectrum=False, check=matrix_never_reached),
-    "zero_start": Fault(
-        ["converged", "routes_agree"], replace(spectral, "c1_operator", zero_start)),
+    "zero_cap": Fault(  # a route with no value is not compared
+        ["converged"], argv=ZERO_CAP, spectrum=False, check=matrix_never_reached),
+    "zero_start": Fault(["converged"], replace(spectral, "c1_operator", zero_start)),
+    "zero_cap_nan_cosine": Fault(  # the other three routes still are
+        ["converged", "routes_agree"], replace(galkin, "delta0_cosine_sum", nan),
+        argv=ZERO_CAP, spectrum=False, check=null_route("cosine")),
     "zero_power_tol": Fault(  # one product, its bracket never narrow enough
         ["converged"], constant(spectral, "DEFAULT_POWER_TOL", 0.0),
         argv=GR37 + ("--max-iter", "1"), spectrum=False),

@@ -182,13 +182,15 @@ def test_ci_runs_the_tier1_command():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[:2] == ["pip install -e .[test]", command]
     # then the exit codes of the installed `chevalley` script, which no test
-    # runs, each command with the exit code it must give
+    # runs, each command with the exit code it must give (the k > n/2 graph
+    # states and eigenvectors among them)
     entry, strict, bounded, gate, smoke = runs[2:]
     assert "chevalley $args" in entry and "exit 1" in entry
     assert re.findall(r"^(\d) (.+)$", entry, re.M) == [
         ("0", "verify --k 3 --n 7"), ("0", "sweep --n-max 12"),
         ("0", "inequalities --n-max 60"), ("0", "spectrum --k 3 --n 7"),
-        ("0", "graph --k 2 --n 5"), ("0", "fk --k 2 --x-min 3 --x-max 5 --step 1"),
+        ("0", "graph --k 2 --n 5"), ("0", "graph --k 7 --n 10 --format json"),
+        ("0", "spectrum --k 5 --n 7"), ("0", "fk --k 2 --x-min 3 --x-max 5 --step 1"),
         ("0", "verify --k 2 --n 40 --tol 0.9"), ("1", "verify --k 3 --n 8 --max-iter 0"),
         ("1", "verify --k 3 --n 8 --max-iter 0 --format json"),
         ("1", "spectrum --k 3 --n 7 --tol 1e-16"),

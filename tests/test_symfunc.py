@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import symfunc
 from chevalley.combinatorics import GrassmannianParams, rotation_orbits
 from chevalley.symfunc import (_orbit_vector, _vertex_tables, central_index,
                                enumerate_indices, homogeneous_table,
@@ -154,6 +156,32 @@ class TestRietschEigenvector:
                     want = np.conj(schur_values_box(p, roots_tuple(I, p)))
                     got = rietsch_eigenvector(I, p)
                     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_bytes_up_to_n10(self):
+        # every eigenvector of every Gr(k,n), n <= 10, k > n/2 included, bit
+        # for bit: a change to how the orbit tables are derived shows here.
+        # The bytes are those of numpy's exp and LAPACK's determinant, so
+        # another build of either may need the digest taken again at a
+        # commit known to be right
+        digest = hashlib.sha256()
+        for n in range(2, 11):
+            for k in range(1, n):
+                p = GrassmannianParams(k, n)
+                for I in enumerate_indices(p):
+                    digest.update(rietsch_eigenvector(I, p).tobytes())
+        assert digest.hexdigest() == (
+            "bdf7833a4adef83c47649243346b7cf0f345fe568d23345fd22cfcc54fbb5ee0")
+
+    @pytest.mark.parametrize("k,n", [(2, 6), (5, 8)])
+    def test_orbits_are_read_from_the_vertex_tables(self, k, n, monkeypatch):
+        # once its tables are built, no eigenvector reads rotation_orbits
+        p = GrassmannianParams(k, n)
+        indices = enumerate_indices(p)
+        want = [rietsch_eigenvector(I, p) for I in indices]
+        _orbit_vector.cache_clear()
+        monkeypatch.setattr(symfunc, "rotation_orbits", None)
+        for I, v in zip(indices, want):
+            assert np.array_equal(rietsch_eigenvector(I, p), v)
 
     def test_orbit_start_is_lex_least_rotation(self):
         for n in range(2, 11):
